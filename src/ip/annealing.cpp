@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "ip/greedy.hpp"
+#include "ip/solve_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace svo::ip {
@@ -99,16 +100,18 @@ double simulated_annealing(const AssignmentInstance& inst, Assignment& a,
 AssignmentSolution AnnealingAssignmentSolver::solve(
     const AssignmentInstance& inst) const {
   AssignmentSolution sol;
-  Assignment a = greedy_construct(inst, GreedyOptions::Order::RegretDescending);
+  const SolveKernel kernel(inst);
+  Assignment a = greedy_construct(kernel, GreedyOptions::Order::RegretDescending);
   if (a.empty()) {
-    a = greedy_construct(inst, GreedyOptions::Order::TimeDescending);
+    a = greedy_construct(kernel, GreedyOptions::Order::TimeDescending);
   }
   if (a.empty()) {
     sol.stats.status = AssignStatus::Unknown;
     return sol;
   }
   (void)simulated_annealing(inst, a, opts_);
-  const double cost = local_search(inst, a, {});
+  // Annealing only visits states satisfying (11)-(13).
+  const double cost = local_search(kernel, a, {});
   if (cost > inst.payment + 1e-9) {
     sol.stats.status = AssignStatus::Unknown;
     return sol;

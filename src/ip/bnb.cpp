@@ -1,11 +1,11 @@
 #include "ip/bnb.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <limits>
-#include <numeric>
 
 #include "ip/greedy.hpp"
+#include "ip/solve_kernel.hpp"
 #include "ip/warm_start.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -17,81 +17,38 @@ namespace {
 constexpr double kEps = 1e-9;
 
 /// All search state for one solve; DFS is recursive (frame is O(1),
-/// depth = number of tasks).
+/// depth = number of tasks). Reads every instance datum from the
+/// solve's kernel: the branching order is its regret order, a task's
+/// children are its cost order, and their costs and times come from the
+/// task's contiguous rows.
 class Search {
  public:
-  /// `cache`/`rows` (both set or both null) reuse a parent instance's
-  /// per-task cost orders: the restricted orders are obtained by
-  /// filtering the cached ones, which is bit-identical to re-sorting
-  /// because row restriction preserves relative order and both sorts
-  /// are stable.
-  Search(const AssignmentInstance& inst, const BnbOptions& opts,
-         const CostOrderCache* cache = nullptr,
-         const std::vector<std::size_t>* rows = nullptr)
-      : inst_(inst), opts_(opts), k_(inst.num_gsps()), n_(inst.num_tasks()) {
-    // Child order per task (GSPs by ascending cost), per-task minimum
-    // cost, and regret (cost spread of the two cheapest GSPs).
-    std::vector<double> regret(n_, 0.0);
-    min_cost_.assign(n_, 0.0);
-    gsp_order_.assign(n_ * k_, 0);
-    if (cache != nullptr && rows != nullptr) {
-      std::vector<std::size_t> child_of(cache->num_gsps(), SIZE_MAX);
-      for (std::size_t r = 0; r < k_; ++r) child_of[(*rows)[r]] = r;
-      for (std::size_t t = 0; t < n_; ++t) {
-        const std::size_t* full = cache->order(t);
-        auto* row = gsp_order_.data() + t * k_;
-        std::size_t w = 0;
-        for (std::size_t i = 0; i < cache->num_gsps() && w < k_; ++i) {
-          const std::size_t child = child_of[full[i]];
-          if (child != SIZE_MAX) row[w++] = child;
-        }
-        min_cost_[t] = inst_.cost(row[0], t);
-        regret[t] = k_ > 1 ? inst_.cost(row[1], t) - min_cost_[t] : 0.0;
-      }
-    } else {
-      for (std::size_t t = 0; t < n_; ++t) {
-        double best = std::numeric_limits<double>::infinity();
-        double second = best;
-        for (std::size_t g = 0; g < k_; ++g) {
-          const double c = inst_.cost(g, t);
-          if (c < best) {
-            second = best;
-            best = c;
-          } else if (c < second) {
-            second = c;
-          }
-        }
-        min_cost_[t] = best;
-        regret[t] = std::isfinite(second) ? second - best : 0.0;
-      }
-      for (std::size_t t = 0; t < n_; ++t) {
-        auto* row = gsp_order_.data() + t * k_;
-        std::iota(row, row + k_, std::size_t{0});
-        std::stable_sort(row, row + k_, [&](std::size_t a, std::size_t b) {
-          return inst_.cost(a, t) < inst_.cost(b, t);
-        });
-      }
-    }
-    // Branching order: descending regret; breaking high-regret
-    // decisions first tightens bounds early.
-    order_.resize(n_);
-    std::iota(order_.begin(), order_.end(), 0);
-    std::stable_sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
-      return regret[a] > regret[b];
-    });
+  /// `clock` started at solve entry; `opts.time_limit_seconds` is
+  /// measured on it.
+  Search(const SolveKernel& kernel, const BnbOptions& opts,
+         const util::WallTimer& clock)
+      : kernel_(kernel),
+        opts_(opts),
+        clock_(clock),
+        k_(kernel.num_gsps()),
+        n_(kernel.num_tasks()),
+        deadline_(kernel.deadline()),
+        payment_(kernel.payment()),
+        require_all_(kernel.require_all_gsps_used()),
+        order_(kernel.regret_order()) {
     // Suffix of capacity-blind minimum costs in branching order.
     suffix_min_.assign(n_ + 1, 0.0);
     for (std::size_t i = n_; i-- > 0;) {
-      suffix_min_[i] = suffix_min_[i + 1] + min_cost_[order_[i]];
+      suffix_min_[i] = suffix_min_[i + 1] + kernel_.min_cost(order_[i]);
     }
     load_.assign(k_, 0.0);
     count_.assign(k_, 0);
-    empties_ = inst_.require_all_gsps_used ? k_ : 0;
+    empties_ = require_all_ ? k_ : 0;
     current_.assign(n_, 0);
   }
 
   void seed_incumbent(Assignment a, double cost) {
-    if (cost <= inst_.payment + kEps &&
+    if (cost <= payment_ + kEps &&
         (!has_incumbent_ || cost < incumbent_cost_ - kEps)) {
       incumbent_ = std::move(a);
       incumbent_cost_ = cost;
@@ -103,16 +60,13 @@ class Search {
   /// Run the DFS; returns true if the space was fully exhausted.
   bool run() {
     // Quick proven-infeasible screens.
-    if (inst_.require_all_gsps_used && k_ > n_) return true;
+    if (require_all_ && k_ > n_) return true;
     for (std::size_t t = 0; t < n_; ++t) {
-      bool any = false;
-      for (std::size_t g = 0; g < k_; ++g) {
-        if (inst_.time(g, t) <= inst_.deadline) {
-          any = true;
-          break;
-        }
+      const double* times = kernel_.times(t);
+      if (std::none_of(times, times + k_,
+                       [&](double tm) { return tm <= deadline_; })) {
+        return true;  // some task fits nowhere: exhausted, no leaf
       }
-      if (!any) return true;  // some task fits nowhere: exhausted, no leaf
     }
     dfs(0, 0.0);
     return !truncated_;
@@ -133,7 +87,7 @@ class Search {
   bool budget_exhausted() {
     if (nodes_ >= opts_.max_nodes) return true;
     if (opts_.time_limit_seconds > 0.0 && (nodes_ & 1023U) == 0 &&
-        timer_.seconds() > opts_.time_limit_seconds) {
+        clock_.seconds() > opts_.time_limit_seconds) {
       return true;
     }
     return false;
@@ -154,17 +108,19 @@ class Search {
     const std::size_t t = order_[depth];
     const std::size_t remaining_after = n_ - depth - 1;
     const double suffix = suffix_min_[depth + 1];
-    const auto* children = gsp_order_.data() + t * k_;
+    const std::uint32_t* children = kernel_.cost_order(t);
+    const double* costs = kernel_.costs(t);
+    const double* times = kernel_.times(t);
     for (std::size_t ci = 0; ci < k_; ++ci) {
       const std::size_t g = children[ci];
-      const double c = inst_.cost(g, t);
+      const double c = costs[g];
       const double bound = cost_so_far + c + suffix;
       // Children are cost-sorted: once the bound fails, all later fail.
-      if (bound > inst_.payment + kEps) break;
+      if (bound > payment_ + kEps) break;
       if (has_incumbent_ && bound >= incumbent_cost_ - kEps) break;
-      const double tm = inst_.time(g, t);
-      if (load_[g] + tm > inst_.deadline + kEps) continue;
-      const bool was_empty = inst_.require_all_gsps_used && count_[g] == 0;
+      const double tm = times[g];
+      if (load_[g] + tm > deadline_ + kEps) continue;
+      const bool was_empty = require_all_ && count_[g] == 0;
       const std::size_t empties_after = empties_ - (was_empty ? 1 : 0);
       if (remaining_after < empties_after) continue;  // (13) unreachable
 
@@ -185,13 +141,15 @@ class Search {
     }
   }
 
-  const AssignmentInstance& inst_;
+  const SolveKernel& kernel_;
   const BnbOptions& opts_;
+  const util::WallTimer& clock_;
   std::size_t k_;
   std::size_t n_;
-  std::vector<std::size_t> order_;
-  std::vector<std::size_t> gsp_order_;
-  std::vector<double> min_cost_;
+  double deadline_;
+  double payment_;
+  bool require_all_;
+  const std::vector<std::size_t>& order_;
   std::vector<double> suffix_min_;
   std::vector<double> load_;
   std::vector<std::size_t> count_;
@@ -203,7 +161,6 @@ class Search {
   bool truncated_ = false;
   std::size_t nodes_ = 0;
   std::size_t incumbent_updates_ = 0;
-  util::WallTimer timer_;
 };
 
 }  // namespace
@@ -220,25 +177,16 @@ AssignmentSolution BnbAssignmentSolver::solve(const AssignmentInstance& inst,
 
 AssignmentSolution BnbAssignmentSolver::solve_impl(
     const AssignmentInstance& inst, const WarmStart* warm) const {
-  inst.validate();
+  // The time budget covers the whole solve, validation and set-up
+  // included.
+  const util::WallTimer clock;
   obs::Span span("ip.bnb.solve", "ip");
 
-  // Reuse the parent instance's cost orders when the hint is coherent
-  // with this instance; otherwise fall back to recomputing them.
-  const CostOrderCache* cache = nullptr;
-  const std::vector<std::size_t>* rows = nullptr;
-  if (warm != nullptr && warm->has_bounds() &&
-      warm->rows.size() == inst.num_gsps() &&
-      warm->cost_order->num_tasks() == inst.num_tasks()) {
-    bool coherent = true;
-    for (const std::size_t p : warm->rows) {
-      coherent = coherent && p < warm->cost_order->num_gsps();
-    }
-    if (coherent) {
-      cache = warm->cost_order.get();
-      rows = &warm->rows;
-    }
-  }
+  // Validates `inst`; reuses the parent instance's cost orders when the
+  // hint matches this instance and sorts them otherwise.
+  const SolveKernel kernel(inst,
+                           warm != nullptr ? warm->cost_order.get() : nullptr,
+                           warm != nullptr ? &warm->rows : nullptr);
   // Accept the incumbent hint only when fully feasible ((10)-(13)); it
   // can then only tighten pruning, never change the proven status/cost.
   const bool warm_incumbent_ok =
@@ -249,10 +197,11 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
   // A solve that accepted any warm hint is a re-verification of an
   // incrementally modified instance; warm_max_nodes (when set) caps it.
   BnbOptions effective = opts_;
-  if (opts_.warm_max_nodes > 0 && (cache != nullptr || warm_incumbent_ok)) {
+  if (opts_.warm_max_nodes > 0 &&
+      (kernel.reused_cost_orders() || warm_incumbent_ok)) {
     effective.max_nodes = std::min(effective.max_nodes, opts_.warm_max_nodes);
   }
-  Search search(inst, effective, cache, rows);
+  Search search(kernel, effective, clock);
 
   AssignmentSolution sol;
   // Warm incumbent first: a repaired previous mapping is typically
@@ -264,12 +213,14 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
     sol.stats.repair_moves = warm->repair_moves;
   }
   if (opts_.seed_with_greedy) {
-    Assignment seed = greedy_construct(inst, GreedyOptions::Order::RegretDescending);
+    Assignment seed =
+        greedy_construct(kernel, GreedyOptions::Order::RegretDescending);
     if (seed.empty()) {
-      seed = greedy_construct(inst, GreedyOptions::Order::TimeDescending);
+      seed = greedy_construct(kernel, GreedyOptions::Order::TimeDescending);
     }
     if (!seed.empty()) {
-      const double cost = local_search(inst, seed, opts_.polish);
+      // Greedy construction satisfies (11)-(13) by construction.
+      const double cost = local_search(kernel, seed, opts_.polish);
       search.seed_incumbent(std::move(seed), cost);
     }
   }

@@ -5,6 +5,8 @@
 /// node/time budgeted) at paper scale. See DESIGN.md §1 and §4.4.
 ///
 /// Search organization:
+///  - every phase reads one task-major SolveKernel built at solve entry
+///    (ip/solve_kernel.hpp);
 ///  - tasks are branched in descending static-regret order;
 ///  - children (GSP choices) are explored in ascending cost order;
 ///  - node lower bound = cost so far + sum of capacity-blind per-task
@@ -30,7 +32,9 @@ struct BnbOptions {
   /// that exhaust within the reduced budget (the exact regime) are
   /// bit-identical to cold; truncated ones keep the warm incumbent.
   std::size_t warm_max_nodes = 0;
-  /// Wall-clock budget in seconds; 0 disables the check.
+  /// Wall-clock budget in seconds, measured from entry into solve():
+  /// validation, kernel build and the greedy seed count against it, not
+  /// only the search. Checked every 1024 nodes; 0 disables the check.
   double time_limit_seconds = 0.0;
   /// Seed the incumbent with greedy construction + local search.
   bool seed_with_greedy = true;

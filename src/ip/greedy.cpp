@@ -1,71 +1,60 @@
 #include "ip/greedy.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
+#include "ip/solve_kernel.hpp"
+
 namespace svo::ip {
-
-namespace {
-
-/// Regret of a task: gap between its two cheapest GSPs (capacity-blind;
-/// used only for ordering). Single-GSP instances get zero regret.
-double static_regret(const AssignmentInstance& inst, std::size_t t) {
-  double best = std::numeric_limits<double>::infinity();
-  double second = best;
-  for (std::size_t g = 0; g < inst.num_gsps(); ++g) {
-    const double c = inst.cost(g, t);
-    if (c < best) {
-      second = best;
-      best = c;
-    } else if (c < second) {
-      second = c;
-    }
-  }
-  return std::isfinite(second) ? second - best : 0.0;
-}
-
-double max_time(const AssignmentInstance& inst, std::size_t t) {
-  double mx = 0.0;
-  for (std::size_t g = 0; g < inst.num_gsps(); ++g) {
-    mx = std::max(mx, inst.time(g, t));
-  }
-  return mx;
-}
-
-}  // namespace
 
 Assignment greedy_construct(const AssignmentInstance& inst,
                             GreedyOptions::Order order) {
-  inst.validate();
-  const std::size_t k = inst.num_gsps();
-  const std::size_t n = inst.num_tasks();
-  if (inst.require_all_gsps_used && k > n) return {};
+  return greedy_construct(SolveKernel(inst), order);
+}
 
-  std::vector<std::size_t> task_order(n);
-  std::iota(task_order.begin(), task_order.end(), 0);
-  std::vector<double> key(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    key[t] = (order == GreedyOptions::Order::RegretDescending)
-                 ? static_regret(inst, t)
-                 : max_time(inst, t);
+Assignment greedy_construct(const SolveKernel& kernel,
+                            GreedyOptions::Order order) {
+  const std::size_t k = kernel.num_gsps();
+  const std::size_t n = kernel.num_tasks();
+  const double deadline = kernel.deadline();
+  if (kernel.require_all_gsps_used() && k > n) return {};
+
+  std::vector<std::size_t> by_time;
+  if (order == GreedyOptions::Order::TimeDescending) {
+    // Hardest (longest worst-case) tasks first, ties by index.
+    std::vector<double> max_time(n, 0.0);
+    for (std::size_t t = 0; t < n; ++t) {
+      const double* times = kernel.times(t);
+      for (std::size_t g = 0; g < k; ++g) {
+        max_time[t] = std::max(max_time[t], times[g]);
+      }
+    }
+    by_time.resize(n);
+    std::iota(by_time.begin(), by_time.end(), std::size_t{0});
+    std::stable_sort(by_time.begin(), by_time.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return max_time[a] > max_time[b];
+                     });
   }
-  std::stable_sort(task_order.begin(), task_order.end(),
-                   [&](std::size_t a, std::size_t b) { return key[a] > key[b]; });
+  const std::vector<std::size_t>& task_order =
+      order == GreedyOptions::Order::TimeDescending ? by_time
+                                                    : kernel.regret_order();
 
   Assignment a(n, SIZE_MAX);
   std::vector<double> load(k, 0.0);
   std::vector<std::size_t> count(k, 0);
   for (const std::size_t t : task_order) {
+    const double* costs = kernel.costs(t);
+    const double* times = kernel.times(t);
     std::size_t best_g = SIZE_MAX;
     double best_c = std::numeric_limits<double>::infinity();
     double best_slack = -1.0;
     for (std::size_t g = 0; g < k; ++g) {
-      const double tm = inst.time(g, t);
-      if (load[g] + tm > inst.deadline) continue;
-      const double c = inst.cost(g, t);
-      const double slack = inst.deadline - load[g] - tm;
+      const double tm = times[g];
+      if (load[g] + tm > deadline) continue;
+      const double c = costs[g];
+      const double slack = deadline - load[g] - tm;
       if (c < best_c - 1e-12 ||
           (c < best_c + 1e-12 && slack > best_slack)) {
         best_g = g;
@@ -75,11 +64,11 @@ Assignment greedy_construct(const AssignmentInstance& inst,
     }
     if (best_g == SIZE_MAX) return {};  // no GSP can still take this task
     a[t] = best_g;
-    load[best_g] += inst.time(best_g, t);
+    load[best_g] += times[best_g];
     ++count[best_g];
   }
 
-  if (inst.require_all_gsps_used) {
+  if (kernel.require_all_gsps_used()) {
     // Coverage repair: give every empty GSP its cheapest feasible task
     // taken from a donor that keeps at least one task.
     for (std::size_t g = 0; g < k; ++g) {
@@ -89,9 +78,10 @@ Assignment greedy_construct(const AssignmentInstance& inst,
       for (std::size_t t = 0; t < n; ++t) {
         const std::size_t from = a[t];
         if (count[from] <= 1) continue;
-        const double tm = inst.time(g, t);
-        if (load[g] + tm > inst.deadline) continue;
-        const double delta = inst.cost(g, t) - inst.cost(from, t);
+        const double tm = kernel.times(t)[g];
+        if (load[g] + tm > deadline) continue;
+        const double* costs = kernel.costs(t);
+        const double delta = costs[g] - costs[from];
         if (delta < best_delta) {
           best_delta = delta;
           best_t = t;
@@ -99,10 +89,11 @@ Assignment greedy_construct(const AssignmentInstance& inst,
       }
       if (best_t == SIZE_MAX) return {};  // cannot cover GSP g
       const std::size_t from = a[best_t];
-      load[from] -= inst.time(from, best_t);
+      const double* times = kernel.times(best_t);
+      load[from] -= times[from];
       --count[from];
       a[best_t] = g;
-      load[g] += inst.time(g, best_t);
+      load[g] += times[g];
       ++count[g];
     }
   }
@@ -112,18 +103,20 @@ Assignment greedy_construct(const AssignmentInstance& inst,
 AssignmentSolution GreedyAssignmentSolver::solve(
     const AssignmentInstance& inst) const {
   AssignmentSolution sol;
-  Assignment a = greedy_construct(inst, opts_.order);
+  const SolveKernel kernel(inst);
+  Assignment a = greedy_construct(kernel, opts_.order);
   if (a.empty() && opts_.order == GreedyOptions::Order::RegretDescending) {
     // Second chance with the other ordering: different orders fail on
     // different tight instances.
-    a = greedy_construct(inst, GreedyOptions::Order::TimeDescending);
+    a = greedy_construct(kernel, GreedyOptions::Order::TimeDescending);
   }
   if (a.empty()) {
     sol.stats.status = AssignStatus::Unknown;
     return sol;
   }
-  double cost = assignment_cost(inst, a);
-  if (opts_.polish) cost = local_search(inst, a, opts_.local_search);
+  const double cost = opts_.polish
+                          ? local_search(kernel, a, opts_.local_search)
+                          : assignment_cost(inst, a);
   if (cost > inst.payment + 1e-9) {
     // Heuristic could not get under the payment cap; inconclusive.
     sol.stats.status = AssignStatus::Unknown;

@@ -10,6 +10,8 @@
 
 namespace svo::ip {
 
+class SolveKernel;  // ip/solve_kernel.hpp
+
 /// Options for the greedy solver.
 struct GreedyOptions {
   /// Task processing order during construction.
@@ -42,7 +44,13 @@ class GreedyAssignmentSolver final : public AssignmentSolver {
 /// Construction step only (no polish, no payment check): attempts to build
 /// an assignment satisfying (11)-(13). Returns empty vector on failure.
 /// Exposed separately so the B&B can seed from it with its own polish.
+/// Builds a SolveKernel (validating `inst`) and runs the overload below.
 [[nodiscard]] Assignment greedy_construct(const AssignmentInstance& inst,
+                                          GreedyOptions::Order order);
+
+/// greedy_construct on an already-built kernel (ip/solve_kernel.hpp):
+/// RegretDescending takes the kernel's regret order as its task order.
+[[nodiscard]] Assignment greedy_construct(const SolveKernel& kernel,
                                           GreedyOptions::Order order);
 
 }  // namespace svo::ip

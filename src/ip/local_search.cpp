@@ -1,7 +1,9 @@
 #include "ip/local_search.hpp"
 
 #include <algorithm>
+#include <string>
 
+#include "ip/solve_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace svo::ip {
@@ -14,43 +16,45 @@ struct State {
   std::vector<std::size_t> task_count;  // tasks per GSP
   double cost = 0.0;
 
-  State(const AssignmentInstance& inst, const Assignment& a)
-      : load(inst.num_gsps(), 0.0), task_count(inst.num_gsps(), 0) {
+  State(const SolveKernel& kernel, const Assignment& a)
+      : load(kernel.num_gsps(), 0.0), task_count(kernel.num_gsps(), 0) {
     for (std::size_t t = 0; t < a.size(); ++t) {
-      load[a[t]] += inst.time(a[t], t);
+      load[a[t]] += kernel.times(t)[a[t]];
       ++task_count[a[t]];
-      cost += inst.cost(a[t], t);
+      cost += kernel.costs(t)[a[t]];
     }
   }
 };
 
-/// One relocation pass; returns true if any move improved the cost.
-bool move_pass(const AssignmentInstance& inst, Assignment& a, State& st) {
-  const std::size_t k = inst.num_gsps();
+/// One relocation pass; returns true if any move improved the cost. Each
+/// task moves to its cheapest GSP that is cheaper than its current one
+/// and can still take it, the lowest index among equally cheap ones:
+/// the first such GSP of its cost-ascending order.
+bool move_pass(const SolveKernel& kernel, Assignment& a, State& st) {
+  const std::size_t k = kernel.num_gsps();
+  const double deadline = kernel.deadline();
   bool improved = false;
   for (std::size_t t = 0; t < a.size(); ++t) {
     const std::size_t from = a[t];
     // Donor must keep at least one task when (13) is enforced.
-    if (inst.require_all_gsps_used && st.task_count[from] <= 1) continue;
-    const double c_from = inst.cost(from, t);
-    std::size_t best_g = from;
-    double best_c = c_from;
-    for (std::size_t g = 0; g < k; ++g) {
-      if (g == from) continue;
-      const double c_g = inst.cost(g, t);
-      if (c_g >= best_c) continue;
-      if (st.load[g] + inst.time(g, t) > inst.deadline) continue;
-      best_g = g;
-      best_c = c_g;
-    }
-    if (best_g != from) {
-      st.load[from] -= inst.time(from, t);
+    if (kernel.require_all_gsps_used() && st.task_count[from] <= 1) continue;
+    const double* costs = kernel.costs(t);
+    const double* times = kernel.times(t);
+    const double c_from = costs[from];
+    const std::uint32_t* order = kernel.cost_order(t);
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t g = order[i];
+      const double c_g = costs[g];
+      if (c_g >= c_from) break;  // no cheaper GSP remains
+      if (st.load[g] + times[g] > deadline) continue;
+      st.load[from] -= times[from];
       --st.task_count[from];
-      st.load[best_g] += inst.time(best_g, t);
-      ++st.task_count[best_g];
-      st.cost += best_c - c_from;
-      a[t] = best_g;
+      st.load[g] += times[g];
+      ++st.task_count[g];
+      st.cost += c_g - c_from;
+      a[t] = g;
       improved = true;
+      break;
     }
   }
   return improved;
@@ -58,19 +62,22 @@ bool move_pass(const AssignmentInstance& inst, Assignment& a, State& st) {
 
 /// Try swapping the GSPs of tasks t and u; applies and returns true when
 /// the swap is cost-improving and feasible.
-bool try_swap(const AssignmentInstance& inst, Assignment& a, State& st,
+bool try_swap(const SolveKernel& kernel, Assignment& a, State& st,
               std::size_t t, std::size_t u) {
   const std::size_t gt = a[t];
   const std::size_t gu = a[u];
   if (gt == gu) return false;
-  const double delta = inst.cost(gu, t) + inst.cost(gt, u) -
-                       inst.cost(gt, t) - inst.cost(gu, u);
+  const double* cost_t = kernel.costs(t);
+  const double* cost_u = kernel.costs(u);
+  const double delta = cost_t[gu] + cost_u[gt] - cost_t[gt] - cost_u[gu];
   if (delta >= -1e-12) return false;
-  const double new_load_gt =
-      st.load[gt] - inst.time(gt, t) + inst.time(gt, u);
-  const double new_load_gu =
-      st.load[gu] - inst.time(gu, u) + inst.time(gu, t);
-  if (new_load_gt > inst.deadline || new_load_gu > inst.deadline) return false;
+  const double* time_t = kernel.times(t);
+  const double* time_u = kernel.times(u);
+  const double new_load_gt = st.load[gt] - time_t[gt] + time_u[gt];
+  const double new_load_gu = st.load[gu] - time_u[gu] + time_t[gu];
+  if (new_load_gt > kernel.deadline() || new_load_gu > kernel.deadline()) {
+    return false;
+  }
   st.load[gt] = new_load_gt;
   st.load[gu] = new_load_gu;
   st.cost += delta;
@@ -82,36 +89,42 @@ bool try_swap(const AssignmentInstance& inst, Assignment& a, State& st,
 
 double local_search(const AssignmentInstance& inst, Assignment& a,
                     const LocalSearchOptions& opts) {
-  detail::require(check_feasible(inst, a).empty() ||
-                      // Payment (10) is allowed to be violated on entry —
-                      // local search only reduces cost, the caller decides.
-                      check_feasible(inst, a).rfind("payment", 0) == 0,
+  const SolveKernel kernel(inst);
+  const std::string violation = check_feasible(inst, a);
+  // Payment (10) is allowed to be violated on entry — local search only
+  // reduces cost, the caller decides.
+  detail::require(violation.empty() || violation.rfind("payment", 0) == 0,
                   "local_search: entry assignment violates (11)-(13)");
-  State st(inst, a);
+  return local_search(kernel, a, opts);
+}
+
+double local_search(const SolveKernel& kernel, Assignment& a,
+                    const LocalSearchOptions& opts) {
+  State st(kernel, a);
   for (std::size_t pass = 0; pass < opts.max_move_passes; ++pass) {
-    if (!move_pass(inst, a, st)) break;
+    if (!move_pass(kernel, a, st)) break;
   }
-  if (opts.max_swap_passes > 0 && inst.num_gsps() > 1 && a.size() > 1) {
+  if (opts.max_swap_passes > 0 && kernel.num_gsps() > 1 && a.size() > 1) {
     util::Xoshiro256 rng(opts.seed);
     for (std::size_t pass = 0; pass < opts.max_swap_passes; ++pass) {
       bool improved = false;
       if (opts.swap_sample_per_task == 0) {
         for (std::size_t t = 0; t + 1 < a.size(); ++t) {
           for (std::size_t u = t + 1; u < a.size(); ++u) {
-            improved |= try_swap(inst, a, st, t, u);
+            improved |= try_swap(kernel, a, st, t, u);
           }
         }
       } else {
         for (std::size_t t = 0; t < a.size(); ++t) {
           for (std::size_t s = 0; s < opts.swap_sample_per_task; ++s) {
             const std::size_t u = rng.index(a.size());
-            if (u != t) improved |= try_swap(inst, a, st, t, u);
+            if (u != t) improved |= try_swap(kernel, a, st, t, u);
           }
         }
       }
       // A swap pass may open relocation opportunities.
       if (improved) {
-        while (move_pass(inst, a, st)) {
+        while (move_pass(kernel, a, st)) {
         }
       } else {
         break;

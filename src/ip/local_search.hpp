@@ -10,6 +10,8 @@
 
 namespace svo::ip {
 
+class SolveKernel;  // ip/solve_kernel.hpp
+
 /// Options for local_search().
 struct LocalSearchOptions {
   /// Max full relocation passes (a pass visits every task once).
@@ -26,7 +28,14 @@ struct LocalSearchOptions {
 /// Improve `a` in place without ever violating constraints (11)-(13);
 /// constraint (10) is an objective cap, handled by the caller. Requires
 /// `a` to satisfy (11)-(13) on entry (checked). Returns the final cost.
+/// Builds a SolveKernel (validating `inst`) and runs the overload below.
 double local_search(const AssignmentInstance& inst, Assignment& a,
+                    const LocalSearchOptions& opts = {});
+
+/// local_search on an already-built kernel (ip/solve_kernel.hpp). The
+/// entry condition is the caller's: solvers pass assignments that
+/// satisfy (11)-(13) by construction, so it is not re-checked here.
+double local_search(const SolveKernel& kernel, Assignment& a,
                     const LocalSearchOptions& opts = {});
 
 }  // namespace svo::ip

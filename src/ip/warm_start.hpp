@@ -21,6 +21,7 @@
 /// across iterations" carries the argument.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "ip/assignment.hpp"
@@ -32,21 +33,22 @@ namespace svo::ip {
 /// parent rows.
 class CostOrderCache {
  public:
-  /// Precompute the stable cost-ascending GSP order of every task.
+  /// Precompute the stable cost-ascending GSP order of every task
+  /// (stable_cost_order over a contiguous copy of the task's costs).
   explicit CostOrderCache(const AssignmentInstance& parent);
 
   [[nodiscard]] std::size_t num_gsps() const noexcept { return k_; }
   [[nodiscard]] std::size_t num_tasks() const noexcept { return n_; }
 
   /// Parent rows of task `t`, cost-ascending (stable). Length k.
-  [[nodiscard]] const std::size_t* order(std::size_t t) const noexcept {
+  [[nodiscard]] const std::uint32_t* order(std::size_t t) const noexcept {
     return order_.data() + t * k_;
   }
 
  private:
   std::size_t k_ = 0;
   std::size_t n_ = 0;
-  std::vector<std::size_t> order_;  // n x k, row-major per task
+  std::vector<std::uint32_t> order_;  // n x k, row-major per task
 };
 
 /// Warm-start hints for one solve. Everything is optional: an empty
@@ -66,7 +68,8 @@ struct WarmStart {
   /// Cost orders of the parent instance this solve's instance was
   /// restricted from (see CostOrderCache).
   std::shared_ptr<const CostOrderCache> cost_order;
-  /// rows[r] = parent row of row r of the instance being solved.
+  /// rows[r] = parent row of row r of the instance being solved,
+  /// strictly increasing (as AssignmentInstance::restrict_to returns).
   /// Required (and only used) when cost_order is set.
   std::vector<std::size_t> rows;
 

@@ -479,9 +479,10 @@ std::vector<DiffRule> default_bench_rules() {
       {"*seconds*", Direction::Informational, 0.0},
       {"*elapsed*", Direction::Informational, 0.0},
       {"*time*", Direction::Informational, 0.0},
-      // Deterministic work counters: more nodes explored is a solver
-      // regression.
-      {"*nodes*", Direction::LowerIsBetter, 0.10},
+      // B&B node counts are deterministic for a seeded instance: any
+      // change, fewer nodes included, means the search itself changed —
+      // gate exactly.
+      {"*nodes*", Direction::Exact, 0.0},
       // Power-iteration convergence work (total_converge_iterations):
       // deterministic for a seeded graph, so needing more sweeps to
       // converge is an engine regression.

@@ -69,11 +69,14 @@ std::size_t Xoshiro256::index(std::size_t n) {
   detail::require(n > 0, "Xoshiro256::index: n == 0");
   // Classic rejection sampling: discard the first (2^64 mod n) values so
   // the retained range is an exact multiple of n -> unbiased for every n.
+  // That threshold is below n, so a draw r >= n is always kept and the
+  // threshold's division is only paid for the rare r < n.
   const std::uint64_t bound = n;
-  const std::uint64_t threshold = (0 - bound) % bound;
   for (;;) {
     const std::uint64_t r = (*this)();
-    if (r >= threshold) return static_cast<std::size_t>(r % bound);
+    if (r >= bound || r >= (0 - bound) % bound) {
+      return static_cast<std::size_t>(r % bound);
+    }
   }
 }
 

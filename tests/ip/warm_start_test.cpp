@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -40,7 +42,7 @@ TEST(CostOrderCacheTest, MatchesDirectStableSort) {
                      [&](std::size_t a, std::size_t b) {
                        return inst.cost(a, t) < inst.cost(b, t);
                      });
-    const std::size_t* got = cache.order(t);
+    const std::uint32_t* got = cache.order(t);
     for (std::size_t i = 0; i < expect.size(); ++i) {
       EXPECT_EQ(got[i], expect[i]) << "task " << t << " rank " << i;
     }
@@ -172,6 +174,35 @@ TEST(WarmBnbTest, WarmEqualsColdOnEveryRemoval) {
       }
       EXPECT_LE(hot.stats.nodes, cold.stats.nodes);
     }
+  }
+}
+
+TEST(WarmBnbTest, InfiniteSecondCostKeepsWarmOrderEqualToCold) {
+  // validate() accepts +inf costs. GSP 3 charges +inf for every even
+  // task, so in coalition {0, 3} those tasks' second-cheapest cost is
+  // +inf and their regret is 0. A warm solve that took the regret as
+  // second - best would rank them first (+inf) and branch in another
+  // order than the cold solve: same proof, different node count.
+  const BnbAssignmentSolver solver;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    util::Xoshiro256 rng(seed);
+    AssignmentInstance inst =
+        testing::random_instance(4, 10, rng, /*tight=*/seed % 2 == 0);
+    for (std::size_t t = 0; t < inst.num_tasks(); t += 2) {
+      inst.cost(3, t) = std::numeric_limits<double>::infinity();
+    }
+    std::vector<std::size_t> rows;
+    const AssignmentInstance sub =
+        inst.restrict_to({true, false, false, true}, &rows);
+    WarmStart bounds;
+    bounds.cost_order = std::make_shared<CostOrderCache>(inst);
+    bounds.rows = rows;
+
+    const AssignmentSolution cold = solver.solve(sub);
+    const AssignmentSolution warm = solver.solve(sub, bounds);
+    EXPECT_EQ(warm.stats.nodes, cold.stats.nodes) << "seed " << seed;
+    EXPECT_EQ(warm.stats.status, cold.stats.status) << "seed " << seed;
+    EXPECT_EQ(warm.cost, cold.cost) << "seed " << seed;
   }
 }
 

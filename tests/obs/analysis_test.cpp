@@ -428,21 +428,39 @@ TEST(BenchDiffTest, IdenticalReportsPass) {
 }
 
 TEST(BenchDiffTest, LowerIsBetterGatesOnIncreaseOnly) {
-  const JsonValue base = report_from(R"({"total_nodes": 1000})");
+  const JsonValue base = report_from(R"({"total_iterations": 1000})");
   // +5% is inside the 10% tolerance.
   EXPECT_TRUE(analysis::diff_bench_reports(
-                  base, report_from(R"({"total_nodes": 1050})"))
+                  base, report_from(R"({"total_iterations": 1050})"))
                   .passed());
   // +50% gates.
   const analysis::BenchDiffResult worse = analysis::diff_bench_reports(
-      base, report_from(R"({"total_nodes": 1500})"));
+      base, report_from(R"({"total_iterations": 1500})"));
   EXPECT_FALSE(worse.passed());
   EXPECT_EQ(worse.deltas[0].status, analysis::DeltaStatus::Regressed);
   // -50% is an improvement, not a gate.
   const analysis::BenchDiffResult better = analysis::diff_bench_reports(
-      base, report_from(R"({"total_nodes": 500})"));
+      base, report_from(R"({"total_iterations": 500})"));
   EXPECT_TRUE(better.passed());
   EXPECT_EQ(better.deltas[0].status, analysis::DeltaStatus::Improved);
+}
+
+TEST(BenchDiffTest, NodeCountsGateExactly) {
+  // B&B node counts are deterministic: fewer nodes is a changed search,
+  // not an improvement, and gates like more nodes does.
+  const JsonValue base = report_from(R"({"total_cold_nodes": 1000})");
+  EXPECT_TRUE(analysis::diff_bench_reports(base, base).passed());
+  EXPECT_FALSE(analysis::diff_bench_reports(
+                   base, report_from(R"({"total_cold_nodes": 1001})"))
+                   .passed());
+  EXPECT_FALSE(analysis::diff_bench_reports(
+                   base, report_from(R"({"total_cold_nodes": 999})"))
+                   .passed());
+  // Time per node is informational: machines differ.
+  const JsonValue per_node = report_from(R"({"bnb_ns_per_node": {"cold": 80.0}})");
+  EXPECT_TRUE(analysis::diff_bench_reports(
+                  per_node, report_from(R"({"bnb_ns_per_node": {"cold": 800.0}})"))
+                  .passed());
 }
 
 TEST(BenchDiffTest, HigherIsBetterGatesOnDecrease) {

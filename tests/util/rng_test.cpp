@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -70,6 +71,37 @@ TEST(Xoshiro256Test, IndexIsApproximatelyUniform) {
   for (int i = 0; i < kDraws; ++i) ++counts[rng.index(kBuckets)];
   for (const int c : counts) {
     EXPECT_NEAR(static_cast<double>(c), kDraws / 10.0, kDraws / 10.0 * 0.1);
+  }
+}
+
+TEST(Xoshiro256Test, IndexDrawsArePinned) {
+  // FNV-1a over the first 1000 draws per bound. The bounds cover the
+  // trivial range, small and paper-scale task counts, and two ranges
+  // where rejection is frequent (2^63 + 1 rejects almost half of all
+  // raw draws), so any change to the rejection rule shows here.
+  struct Case {
+    std::size_t n;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {1, 0x51e78e744621f425ULL},
+      {3, 0x36b6440e20af2de4ULL},
+      {256, 0xd13f971f3ed7ac32ULL},
+      {8192, 0x50287fffd7c43bfcULL},
+      {(std::size_t{1} << 32) + 1, 0x1539fd7075c676f7ULL},
+      {(std::size_t{1} << 63) + 1, 0x5181b81734a1336fULL},
+  };
+  for (const Case& c : cases) {
+    Xoshiro256 rng(42);
+    std::uint64_t h = 14695981039346656037ULL;
+    for (int i = 0; i < 1000; ++i) {
+      const auto v = static_cast<std::uint64_t>(rng.index(c.n));
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (v >> (8 * byte)) & 0xffU;
+        h *= 1099511628211ULL;
+      }
+    }
+    EXPECT_EQ(h, c.hash) << "n = " << c.n << " got 0x" << std::hex << h;
   }
 }
 
