@@ -21,12 +21,8 @@ SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
             [](const Triplet& a, const Triplet& b) {
               return a.row != b.row ? a.row < b.row : a.col < b.col;
             });
-  SparseMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_ptr_.assign(rows + 1, 0);
-  m.col_.reserve(triplets.size());
-  m.val_.reserve(triplets.size());
+  RowBuilder out(rows, cols, triplets.size());
+  std::size_t row = 0;
   for (std::size_t k = 0; k < triplets.size();) {
     const std::size_t r = triplets[k].row;
     const std::size_t c = triplets[k].col;
@@ -35,17 +31,45 @@ SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
          ++k) {
       v += triplets[k].value;
     }
-    if (v == 0.0) continue;  // stored entry == structural nonzero
-    m.col_.push_back(c);
-    m.val_.push_back(v);
-    m.row_ptr_[r + 1] = m.col_.size();
+    for (; row < r; ++row) out.end_row();
+    out.push(c, v);
   }
-  // Rows with no entry keep offset 0 in the loop above; forward-fill so
-  // row_ptr_ is the usual non-decreasing prefix array.
-  for (std::size_t r = 1; r <= rows; ++r) {
-    m.row_ptr_[r] = std::max(m.row_ptr_[r], m.row_ptr_[r - 1]);
-  }
-  return m;
+  return std::move(out).finish();
+}
+
+SparseMatrix::RowBuilder::RowBuilder(std::size_t rows, std::size_t cols,
+                                     std::size_t nnz_hint) {
+  m_.rows_ = rows;
+  m_.cols_ = cols;
+  m_.row_ptr_.reserve(rows + 1);
+  m_.row_ptr_.push_back(0);
+  m_.col_.reserve(nnz_hint);
+  m_.val_.reserve(nnz_hint);
+}
+
+void SparseMatrix::RowBuilder::push(std::size_t col, double value) {
+  detail::require(m_.row_ptr_.size() <= m_.rows_,
+                  "SparseMatrix: row out of range");
+  detail::require(col < m_.cols_ && col >= next_col_,
+                  "SparseMatrix: columns must be in range and ascend within "
+                  "a row");
+  detail::require(std::isfinite(value), "SparseMatrix: value must be finite");
+  next_col_ = col + 1;
+  if (value == 0.0) return;  // stored entry == structural nonzero
+  m_.col_.push_back(col);
+  m_.val_.push_back(value);
+}
+
+void SparseMatrix::RowBuilder::end_row() {
+  detail::require(m_.row_ptr_.size() <= m_.rows_,
+                  "SparseMatrix: row out of range");
+  m_.row_ptr_.push_back(m_.col_.size());
+  next_col_ = 0;
+}
+
+SparseMatrix SparseMatrix::RowBuilder::finish() && {
+  m_.row_ptr_.resize(m_.rows_ + 1, m_.col_.size());
+  return std::move(m_);
 }
 
 SparseMatrix SparseMatrix::from_dense(const Matrix& dense) {
@@ -144,6 +168,54 @@ std::vector<double> SparseMatrix::multiply_transposed(
   return y;
 }
 
+GatherOperator::GatherOperator(const SparseMatrix& a) {
+  detail::require(a.rows() == a.cols(),
+                  "sparse_power_method: matrix must be square");
+  row_nnz_.resize(a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const SparseMatrix::RowView r = a.row(i);
+    row_nnz_[i] = r.size();
+    if (r.empty()) dangling_.push_back(i);
+    for (const double v : r.values) {
+      detail::require(v >= 0.0,
+                      "sparse_power_method: matrix must be non-negative");
+    }
+  }
+  at_ = a.transposed();
+}
+
+bool GatherOperator::reweight_rows(std::span<const std::size_t> rows,
+                                   const SparseMatrix& patch) {
+  detail::require(patch.rows() == rows.size() && patch.cols() == size(),
+                  "GatherOperator: patch shape mismatch");
+  // Locate every value's slot in A^T before writing any, so a patch that
+  // turns out to change a row's columns leaves the operator untouched.
+  std::vector<std::size_t> slots;
+  slots.reserve(patch.nnz());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const std::size_t i = rows[k];
+    detail::require(i < size(), "GatherOperator: row out of range");
+    const SparseMatrix::RowView r = patch.row(k);
+    if (r.size() != row_nnz_[i]) return false;
+    for (std::size_t e = 0; e < r.size(); ++e) {
+      detail::require(r.values[e] >= 0.0,
+                      "GatherOperator: matrix must be non-negative");
+      const std::size_t j = r.cols[e];
+      const auto col = at_.col_.begin();
+      const auto begin = col + static_cast<std::ptrdiff_t>(at_.row_ptr_[j]);
+      const auto end = col + static_cast<std::ptrdiff_t>(at_.row_ptr_[j + 1]);
+      const auto it = std::lower_bound(begin, end, i);
+      if (it == end || *it != i) return false;  // A(i, j) not stored
+      slots.push_back(static_cast<std::size_t>(it - col));
+    }
+  }
+  // Patch rows are contiguous in patch.val_, in slot order.
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    at_.val_[slots[k]] = patch.val_[k];
+  }
+  return true;
+}
+
 namespace {
 
 /// Rows below this run the gather loop serially even when opts.threads
@@ -154,12 +226,13 @@ constexpr std::size_t kParallelRows = 2048;
 /// in gather form over the pre-transposed matrix: output j is the
 /// i-ascending dot of at.row(j) with x — exactly the accumulation order
 /// of the dense engine's column-block kernel, for any thread count.
-void apply_gather(const SparseMatrix& at, const std::vector<std::size_t>& dangling,
-                  double damping, std::span<const double> x,
-                  std::vector<double>& y, std::size_t threads) {
+void apply_gather(const GatherOperator& op, double damping,
+                  std::span<const double> x, std::vector<double>& y,
+                  std::size_t threads) {
+  const SparseMatrix& at = op.transposed();
   const std::size_t n = at.rows();
   double dangling_mass = 0.0;
-  for (const std::size_t i : dangling) dangling_mass += x[i];
+  for (const std::size_t i : op.dangling()) dangling_mass += x[i];
   const double base =
       (1.0 - damping) * dangling_mass / static_cast<double>(n) +
       damping / static_cast<double>(n);
@@ -181,30 +254,17 @@ void apply_gather(const SparseMatrix& at, const std::vector<std::size_t>& dangli
   }
 }
 
-PowerMethodResult sparse_power_method_impl(const SparseMatrix& a,
+PowerMethodResult sparse_power_method_impl(const GatherOperator& op,
                                            const PowerMethodOptions& opts,
                                            std::span<const double> warm_start,
                                            double* spmv_seconds) {
-  detail::require(a.rows() == a.cols(),
-                  "sparse_power_method: matrix must be square");
   opts.validate();
 
   PowerMethodResult result;
-  const std::size_t n = a.rows();
+  const std::size_t n = op.size();
   if (n == 0) {
     result.converged = true;
     return result;
-  }
-  std::vector<std::size_t> dangling;  // empty rows, ascending
-  for (std::size_t i = 0; i < n; ++i) {
-    const SparseMatrix::RowView r = a.row(i);
-    if (r.empty()) {
-      dangling.push_back(i);
-      continue;
-    }
-    for (const double v : r.values) {
-      detail::require(v >= 0.0, "sparse_power_method: matrix must be non-negative");
-    }
   }
 
   std::vector<double> x;
@@ -227,15 +287,14 @@ PowerMethodResult sparse_power_method_impl(const SparseMatrix& a,
     x.assign(n, 1.0 / static_cast<double>(n));
   }
   std::vector<double> y(n, 0.0);
-  const SparseMatrix at = a.transposed();
 
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     if (spmv_seconds != nullptr) {
       const util::WallTimer timer;
-      apply_gather(at, dangling, opts.damping, x, y, opts.threads);
+      apply_gather(op, opts.damping, x, y, opts.threads);
       *spmv_seconds += timer.seconds();
     } else {
-      apply_gather(at, dangling, opts.damping, x, y, opts.threads);
+      apply_gather(op, opts.damping, x, y, opts.threads);
     }
     result.eigenvalue = norm_l1(y);
     if (!normalize_l1(y)) {
@@ -259,17 +318,18 @@ PowerMethodResult sparse_power_method_impl(const SparseMatrix& a,
 
 }  // namespace
 
-PowerMethodResult sparse_power_method(const SparseMatrix& a,
+PowerMethodResult sparse_power_method(const GatherOperator& op,
                                       const PowerMethodOptions& opts,
                                       std::span<const double> warm_start) {
   obs::Span span("linalg.sparse_power_method", "linalg");
   double spmv_seconds = 0.0;
   PowerMethodResult result = sparse_power_method_impl(
-      a, opts, warm_start, span.active() ? &spmv_seconds : nullptr);
+      op, opts, warm_start, span.active() ? &spmv_seconds : nullptr);
   if (span.active()) {
-    span.arg("n", static_cast<double>(a.rows()));
-    span.arg("nnz", static_cast<double>(a.nnz()));
-    span.arg("fill_ratio", a.fill_ratio());
+    const SparseMatrix& at = op.transposed();
+    span.arg("n", static_cast<double>(at.rows()));
+    span.arg("nnz", static_cast<double>(at.nnz()));
+    span.arg("fill_ratio", at.fill_ratio());
     span.arg("iterations", static_cast<double>(result.iterations));
     span.arg("converged", result.converged ? 1.0 : 0.0);
     span.arg("warm_started", result.warm_started ? 1.0 : 0.0);
@@ -278,14 +338,21 @@ PowerMethodResult sparse_power_method(const SparseMatrix& a,
     m.counter("linalg.sparse_power.calls").add();
     m.counter("linalg.sparse_power.iterations").add(result.iterations);
     m.counter("linalg.spmv.applications").add(result.iterations);
-    m.counter("linalg.spmv.nnz").add(a.nnz() * result.iterations);
+    m.counter("linalg.spmv.nnz").add(at.nnz() * result.iterations);
     if (result.warm_started) m.counter("linalg.sparse_power.warm_starts").add();
     if (!result.converged) m.counter("linalg.sparse_power.nonconverged").add();
     m.histogram("linalg.sparse_power.iters_per_call")
         .observe(static_cast<double>(result.iterations));
-    m.histogram("linalg.sparse_power.fill_pct").observe(100.0 * a.fill_ratio());
+    m.histogram("linalg.sparse_power.fill_pct")
+        .observe(100.0 * at.fill_ratio());
   }
   return result;
+}
+
+PowerMethodResult sparse_power_method(const SparseMatrix& a,
+                                      const PowerMethodOptions& opts,
+                                      std::span<const double> warm_start) {
+  return sparse_power_method(GatherOperator(a), opts, warm_start);
 }
 
 }  // namespace svo::linalg

@@ -7,14 +7,19 @@
 /// (average degree tens, not tens of thousands). This module supplies:
 ///
 ///  - `SparseMatrix`: immutable CSR with column-sorted rows, built from
-///    triplets; O(nnz) storage, O(row) iteration, O(log deg) lookup.
-///  - `sparse_power_method`: the sparse twin of linalg::power_method.
-///    It applies the transposed operator in *gather* form — output j is
-///    the i-ascending dot of A^T's row j with x — which makes the serial
-///    and pooled paths bit-identical to each other AND to the dense
-///    engine's summation order. Dense-vs-sparse equivalence is therefore
-///    exact, not approximate (tests/trust/sparse_reputation_test.cpp),
-///    and the pooled path is deterministic for every thread count.
+///    triplets or, without a sort, from rows already in order
+///    (`RowBuilder`); O(nnz) storage, O(row) iteration, O(log deg) lookup.
+///  - `GatherOperator` + `sparse_power_method`: the sparse twin of
+///    linalg::power_method, in two steps. Preparing the operator checks
+///    A and transposes it once; iterating applies it in *gather* form —
+///    output j is the i-ascending dot of A^T's row j with x — which makes
+///    the serial and pooled paths bit-identical to each other AND to the
+///    dense engine's summation order. Dense-vs-sparse equivalence is
+///    therefore exact, not approximate
+///    (tests/trust/sparse_reputation_test.cpp), and the pooled path is
+///    deterministic for every thread count. A kept operator can have
+///    rows re-weighted in place, so a caller iterating a slowly changing
+///    matrix pays O(changed rows) instead of O(nnz) set-up per solve.
 ///  - Incremental re-convergence: a caller holding the previous round's
 ///    eigenvector passes it as `warm_start`; the iteration starts there
 ///    instead of uniform and converges in a fraction of the cold
@@ -47,10 +52,14 @@ class SparseMatrix {
 
   /// Build from triplets (any order; duplicates of the same (row, col)
   /// are summed; entries that are — or sum to — exactly 0 are dropped).
-  /// Throws InvalidArgument on out-of-range indices or non-finite values.
+  /// Throws InvalidArgument on out-of-range indices or non-finite values
+  /// (a duplicate sum that overflows included).
   [[nodiscard]] static SparseMatrix from_triplets(std::size_t rows,
                                                   std::size_t cols,
                                                   std::vector<Triplet> triplets);
+
+  /// O(nnz) assembly from entries already in CSR order (defined below).
+  class RowBuilder;
 
   /// CSR view of a dense matrix (entries exactly 0 dropped).
   [[nodiscard]] static SparseMatrix from_dense(const Matrix& dense);
@@ -94,6 +103,8 @@ class SparseMatrix {
       std::span<const double> x) const;
 
  private:
+  friend class GatherOperator;  // re-weights its transpose in place
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   /// rows_ + 1 offsets into col_/val_ (empty matrix: single 0).
@@ -102,18 +113,90 @@ class SparseMatrix {
   std::vector<double> val_;
 };
 
+/// O(nnz) assembly from entries that are already in CSR order: rows are
+/// filled in ascending order, each with strictly ascending columns, so
+/// unlike from_triplets nothing is sorted. Same value contract:
+/// non-finite values throw, exact zeros are not stored.
+class SparseMatrix::RowBuilder {
+ public:
+  /// `nnz_hint` only reserves storage.
+  RowBuilder(std::size_t rows, std::size_t cols, std::size_t nnz_hint = 0);
+
+  /// Append entry (current row, col). Throws InvalidArgument when every
+  /// row is already ended, when `col` is out of range or not above the
+  /// row's previous column, or when `value` is not finite.
+  void push(std::size_t col, double value);
+  /// End the current row; the next push() goes to the row after it.
+  void end_row();
+  /// The matrix; rows never reached are empty.
+  [[nodiscard]] SparseMatrix finish() &&;
+
+ private:
+  SparseMatrix m_;
+  std::size_t next_col_ = 0;  ///< smallest column the current row accepts
+};
+
+/// The operator sparse_power_method iterates, prepared once from a
+/// square, non-negative A: A^T in CSR — the gather layout — and A's
+/// dangling (empty) rows. Keeping one lets a caller iterate the same
+/// matrix again, or re-weight some of its rows in place, without
+/// re-checking and re-transposing all of A (trust::ReputationCache,
+/// DESIGN.md §4i).
+class GatherOperator {
+ public:
+  /// The operator of the empty 0x0 matrix.
+  GatherOperator() = default;
+
+  /// Throws InvalidArgument unless `a` is square and non-negative. O(nnz).
+  explicit GatherOperator(const SparseMatrix& a);
+
+  /// Dimension n of A.
+  [[nodiscard]] std::size_t size() const noexcept { return at_.rows(); }
+  /// A^T: row j holds column j of A, sorted by source row.
+  [[nodiscard]] const SparseMatrix& transposed() const noexcept { return at_; }
+  /// Rows of A with no stored entry, ascending.
+  [[nodiscard]] const std::vector<std::size_t>& dangling() const noexcept {
+    return dangling_;
+  }
+
+  /// Re-weight rows of A in place: row `rows[k]` of A takes the values of
+  /// row k of `patch` (a rows.size() x n matrix). All or nothing: returns
+  /// false and changes nothing unless every listed row of `patch` stores
+  /// exactly the columns that row of A stores now. An entry added,
+  /// dropped or turned zero — so also a row becoming or ceasing to be
+  /// dangling — needs a freshly prepared operator. Written values are
+  /// the patch's bits, so a patched operator equals one prepared from
+  /// the patched A. Throws InvalidArgument on mismatched shapes, an
+  /// out-of-range row or a negative value.
+  bool reweight_rows(std::span<const std::size_t> rows,
+                     const SparseMatrix& patch);
+
+ private:
+  SparseMatrix at_;
+  std::vector<std::size_t> dangling_;
+  /// Stored entries per row of A. A patch row keeps A's column set iff
+  /// it stores as many entries and each is found in at_.
+  std::vector<std::size_t> row_nnz_;
+};
+
 /// Sparse twin of linalg::power_method: dominant *left* eigenvector of
-/// `a` by normalized power iteration, with the same dangling-row and
-/// damping conventions. Bit-identical to the dense engine on the same
-/// matrix (see the file comment), at any `opts.threads`.
+/// the matrix `op` was prepared from, by normalized power iteration, with
+/// the same dangling-row and damping conventions. Bit-identical to the
+/// dense engine on the same matrix (see the file comment), at any
+/// `opts.threads`.
 ///
-/// `warm_start`, when non-empty, must have size a.rows(), be finite and
+/// `warm_start`, when non-empty, must have size op.size(), be finite and
 /// non-negative with positive sum; it replaces the uniform start vector
 /// (after L1 normalization). Warm and cold runs converge to the same
 /// fixed point within `opts.epsilon` — the *iterate path* differs, so a
 /// warm result matches a cold one only up to the documented tolerance
 /// (DESIGN.md §4i); callers needing bit-identical replays must either
 /// both warm-start or both cold-start.
+[[nodiscard]] PowerMethodResult sparse_power_method(
+    const GatherOperator& op, const PowerMethodOptions& opts = {},
+    std::span<const double> warm_start = {});
+
+/// Prepare `a`'s operator and iterate it: the one-shot form.
 [[nodiscard]] PowerMethodResult sparse_power_method(
     const SparseMatrix& a, const PowerMethodOptions& opts = {},
     std::span<const double> warm_start = {});

@@ -168,10 +168,10 @@ struct DiffRule {
 };
 
 /// The built-in rule set for BENCH_*.json reports: wall-clock metrics
-/// are informational (CI machines differ), configuration echoes and
-/// equivalence booleans are exact (drift detection), node/iteration
-/// counts gate lower-is-better, rates/reductions/retentions gate
-/// higher-is-better. Documented in DESIGN.md §4e.
+/// are informational (CI machines differ), configuration echoes,
+/// equivalence booleans and deterministic work counts (B&B nodes, power
+/// iterations) are exact (drift detection), rates/reductions/retentions
+/// gate higher-is-better. Documented in DESIGN.md §4e.
 [[nodiscard]] std::vector<DiffRule> default_bench_rules();
 
 /// Glob matcher used for rule patterns ('*' any run, '?' one char).

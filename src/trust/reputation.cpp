@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <span>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -11,8 +13,10 @@ namespace svo::trust {
 namespace {
 
 /// Shared telemetry tail for every reputation computation path.
+/// `iterated` is false when `r` was replayed from a cache: no power
+/// iteration ran, so none is counted.
 void note_reputation(obs::Span& span, const char* mode,
-                     const ReputationResult& r) {
+                     const ReputationResult& r, bool iterated = true) {
   if (!span.active()) return;
   span.arg("mode", mode);
   span.arg("coalition", static_cast<double>(r.scores.size()));
@@ -21,7 +25,9 @@ void note_reputation(obs::Span& span, const char* mode,
   span.arg("avg_reputation", r.average);
   obs::MetricRegistry& m = obs::Recorder::instance().metrics();
   m.counter("trust.reputation.computes").add();
-  m.counter("trust.reputation.power_iterations").add(r.iterations);
+  if (iterated) {
+    m.counter("trust.reputation.power_iterations").add(r.iterations);
+  }
   if (!r.converged) m.counter("trust.reputation.nonconverged").add();
 }
 
@@ -90,28 +96,51 @@ ReputationResult ReputationEngine::full_sparse(const TrustGraph& g) const {
 
   obs::Span span("trust.reputation.compute", "trust");
   obs::MetricRegistry& m = obs::Recorder::instance().metrics();
-  const bool keyed = cache->has_entry_ && cache->graph_uid_ == g.uid() &&
-                     same_power(cache->power_, opts_.power);
+  const bool same_graph = cache->has_entry_ && cache->graph_uid_ == g.uid();
+  const bool keyed = same_graph && same_power(cache->power_, opts_.power);
   if (keyed && cache->graph_version_ == g.version()) {
     // Exact reuse: the compute is deterministic, so returning the memo
     // is bit-identical to re-running it.
     ++cache->stats_.exact_hits;
-    note_reputation(span, "sparse-cached", cache->result_);
+    note_reputation(span, "sparse-cached", cache->result_, /*iterated=*/false);
     if (span.active()) m.counter("trust.reputation.cache_exact_hits").add();
     return cache->result_;
   }
 
+  using Delta = std::vector<std::pair<std::size_t, std::size_t>>;
+  const std::optional<Delta> delta =
+      same_graph ? g.edges_changed_since(cache->graph_version_) : std::nullopt;
   std::span<const double> warm;
   if (keyed && cache->result_.converged &&
-      cache->result_.scores.size() == g.size()) {
-    const auto delta = g.edges_changed_since(cache->graph_version_);
-    if (delta.has_value() && delta->size() <= opts_.warm_max_delta) {
-      warm = cache->result_.scores;
-    }
+      cache->result_.scores.size() == g.size() && delta.has_value() &&
+      delta->size() <= opts_.warm_max_delta) {
+    warm = cache->result_.scores;
+  }
+
+  // Bring the kept operator to this version. Until the memo is rewritten
+  // below, the entry is marked empty: should anything throw, the next
+  // compute rebuilds rather than patch an operator of unknown content.
+  cache->has_entry_ = false;
+  bool patched = false;
+  if (delta.has_value()) {
+    std::vector<std::size_t> rows;
+    rows.reserve(delta->size());
+    for (const auto& [truster, trustee] : *delta) rows.push_back(truster);
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    patched = cache->operator_.reweight_rows(rows, g.normalized_rows(rows));
+  }
+  if (patched) {
+    ++cache->stats_.operator_patches;
+    if (span.active()) m.counter("trust.reputation.operator_patches").add();
+  } else {
+    cache->operator_ = linalg::GatherOperator(g.normalized_sparse());
+    ++cache->stats_.operator_builds;
+    if (span.active()) m.counter("trust.reputation.operator_builds").add();
   }
 
   const linalg::PowerMethodResult pm =
-      linalg::sparse_power_method(g.normalized_sparse(), opts_.power, warm);
+      linalg::sparse_power_method(cache->operator_, opts_.power, warm);
   ReputationResult r;
   r.scores = pm.eigenvector;
   r.iterations = pm.iterations;

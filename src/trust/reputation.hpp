@@ -10,8 +10,9 @@
 /// bit-identical to the dense one — the backend is an implementation
 /// detail, never a semantic knob. An optional ReputationCache makes
 /// repeated full-graph computes incremental: unchanged graphs return the
-/// cached result outright, small edge deltas warm-start the iteration
-/// from the previous eigenvector.
+/// cached result outright, re-weighted rows are patched into the kept
+/// iteration operator instead of rebuilding it, and small edge deltas
+/// warm-start the iteration from the previous eigenvector.
 #pragma once
 
 #include <cstddef>
@@ -50,24 +51,41 @@ enum class TrustBackend {
   Sparse,
 };
 
-/// Memo of the last full-graph standard (non-robust) compute, keyed by
-/// (TrustGraph::uid, TrustGraph::version, power options). Three regimes:
+/// Incremental state of full-graph standard (non-robust) computes: the
+/// last result and the operator it was iterated on (the transposed,
+/// row-normalized CSR plus its dangling rows, linalg::GatherOperator),
+/// both at the graph's (TrustGraph::uid, TrustGraph::version). Regimes:
 ///
-///  - exact hit — same uid and version: the cached result is returned
-///    without touching the matrix. Bit-identical to recomputing, because
-///    the compute is deterministic.
-///  - warm start — same uid, version advanced by at most
-///    ReputationOptions::warm_max_delta logged edge changes: the cached
-///    eigenvector seeds the power iteration. Converges to the same fixed
-///    point within epsilon in far fewer iterations, but the iterate path
-///    differs from a cold start: warm results match cold ones only up to
-///    the convergence tolerance (DESIGN.md §4i).
-///  - cold start — first sight, options changed, delta too large, or the
-///    graph's bounded change log no longer covers the gap.
+///  - exact hit — same uid, version and power options: the cached result
+///    is returned without touching the matrix. Bit-identical to
+///    recomputing, because the compute is deterministic.
+///  - patch — same uid, the graph's change log still reaches back to the
+///    kept version, and every logged change re-weights an existing edge:
+///    the changed rows are re-normalized and written in place at their
+///    transposed positions, O(changed rows) instead of O(nnz). The rows
+///    come from the routine normalized_sparse() uses, so the operator is
+///    bit-equal to a rebuilt one.
+///  - rebuild — a different uid, a lost log window, or an added or
+///    removed edge (a row becoming or ceasing to be dangling included):
+///    the operator is prepared afresh from normalized_sparse(). Decided
+///    before anything is written, so no half-patched operator survives.
 ///
-/// NOT thread-safe: one cache per computing thread (svc::FormationService
-/// rejects a shared cache at construction for exactly this reason).
-/// Ignored by coalition-restricted and robust computes.
+/// The operator depends on graph content alone, so a power-options
+/// change still patches. Unless the result is an exact hit, the
+/// iteration then starts
+///
+///  - warm — same uid and power options, converged memo, and at most
+///    ReputationOptions::warm_max_delta logged edge changes: from the
+///    cached eigenvector. Converges to the same fixed point within
+///    epsilon in far fewer iterations, but the iterate path differs from
+///    a cold start: warm results match cold ones only up to the
+///    convergence tolerance (DESIGN.md §4i);
+///  - cold — otherwise, from the uniform vector.
+///
+/// Holds O(nnz) memory for the operator. NOT thread-safe: one cache per
+/// computing thread (svc::FormationService rejects a shared cache at
+/// construction for exactly this reason). Ignored by
+/// coalition-restricted and robust computes.
 class ReputationCache {
  public:
   /// Observability counters, cumulative since construction/clear().
@@ -79,13 +97,19 @@ class ReputationCache {
     /// this graph - iterations actually run); the headline number
     /// bench_trust_scale gates on.
     std::uint64_t iterations_saved = 0;
+    /// Computes that kept the operator, re-weighting its changed rows
+    /// (none when only the power options changed).
+    std::uint64_t operator_patches = 0;
+    /// Computes that prepared the operator afresh.
+    std::uint64_t operator_builds = 0;
   };
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  /// Drop the memo and zero the stats.
+  /// Drop the memo and the operator, and zero the stats.
   void clear() noexcept {
     has_entry_ = false;
+    operator_ = linalg::GatherOperator();
     stats_ = Stats{};
   }
 
@@ -101,6 +125,7 @@ class ReputationCache {
   ReputationResult result_;
   /// Iterations of the most recent cold solve (warm-start savings base).
   std::size_t cold_iterations_ = 0;
+  linalg::GatherOperator operator_;
   Stats stats_;
 };
 

@@ -224,21 +224,14 @@ linalg::PowerMethodResult robust_power_method(
     result.converged = true;
     return result;
   }
-  std::vector<std::size_t> dangling;  // empty rows, ascending
-  for (std::size_t i = 0; i < n; ++i) {
-    detail::require(weights[i] > 0.0 && weights[i] <= 1.0,
+  for (const double w : weights) {
+    detail::require(w > 0.0 && w <= 1.0,
                     "robust_power_method: weights must be in (0, 1]");
-    const linalg::SparseMatrix::RowView r = a.row(i);
-    if (r.empty()) {
-      dangling.push_back(i);
-      continue;
-    }
-    for (const double v : r.values) {
-      detail::require(v >= 0.0,
-                      "robust_power_method: matrix must be non-negative");
-    }
   }
-  const linalg::SparseMatrix at = a.transposed();
+  // The sparse power method's prepared operator: the non-negativity
+  // check, A^T and the dangling rows.
+  const linalg::GatherOperator op(a);
+  const linalg::SparseMatrix& at = op.transposed();
 
   const double d = power.damping;
   std::vector<double> x(n, 1.0 / static_cast<double>(n));
@@ -247,7 +240,9 @@ linalg::PowerMethodResult robust_power_method(
 
   for (std::size_t it = 0; it < power.max_iterations; ++it) {
     double dangling_mass = 0.0;
-    for (const std::size_t i : dangling) dangling_mass += weights[i] * x[i];
+    for (const std::size_t i : op.dangling()) {
+      dangling_mass += weights[i] * x[i];
+    }
     for (std::size_t j = 0; j < n; ++j) {
       const linalg::SparseMatrix::RowView in = at.row(j);
       contributions.clear();

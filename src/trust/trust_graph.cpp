@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "graph/generators.hpp"
 
@@ -12,6 +13,18 @@ namespace svo::trust {
 std::uint64_t TrustGraph::next_uid() noexcept {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+TrustGraph::TrustGraph(graph::Digraph g) : graph_(std::move(g)) {
+  for (std::size_t i = 0; i < graph_.vertex_count(); ++i) {
+    for (const graph::Edge& e : graph_.out_edges(i)) {
+      if (!std::isfinite(e.weight)) {
+        throw InvalidArgument("TrustGraph: trust on edge (" +
+                              std::to_string(i) + ", " + std::to_string(e.to) +
+                              ") must be finite");
+      }
+    }
+  }
 }
 
 TrustGraph::TrustGraph(const TrustGraph& other)
@@ -128,6 +141,36 @@ linalg::Matrix TrustGraph::normalized_matrix(
   return a;
 }
 
+void TrustGraph::append_row(linalg::SparseMatrix::RowBuilder& out,
+                            std::size_t gi,
+                            const std::vector<std::size_t>* members,
+                            bool normalized, RowScratch& row) const {
+  detail::require(gi < size(), "TrustGraph: GSP index out of range");
+  row.clear();
+  for (const graph::Edge& e : graph_.out_edges(gi)) {
+    if (e.to == gi) continue;  // self-trust is not modeled
+    std::size_t lj = e.to;
+    if (members != nullptr) {
+      const auto it = std::lower_bound(members->begin(), members->end(), e.to);
+      if (it == members->end() || *it != e.to) continue;  // outsider
+      lj = static_cast<std::size_t>(it - members->begin());
+    }
+    row.emplace_back(lj, e.weight);
+  }
+  std::sort(row.begin(), row.end());
+  double divisor = 1.0;
+  if (normalized) {
+    // Ascending sum over the sorted nonzeros == linalg::normalize_l1's
+    // sum over the dense row (absent entries add exactly +0.0), so each
+    // stored a_ij below is bit-equal to the dense a(i, j).
+    double sum = 0.0;
+    for (const auto& [c_, w] : row) sum += w;
+    if (sum > 0.0) divisor = sum;  // else every weight is 0: none stored
+  }
+  for (const auto& [lj, w] : row) out.push(lj, w / divisor);
+  out.end_row();
+}
+
 linalg::SparseMatrix TrustGraph::build_sparse(
     const std::vector<std::size_t>* members, bool normalized) const {
   std::size_t n = 0;
@@ -140,39 +183,24 @@ linalg::SparseMatrix TrustGraph::build_sparse(
   } else {
     n = size();
   }
-  std::vector<linalg::Triplet> triplets;
-  triplets.reserve(members == nullptr ? graph_.edge_count() : n * 4);
-  std::vector<std::pair<std::size_t, double>> row;
+  linalg::SparseMatrix::RowBuilder out(
+      n, n, members == nullptr ? graph_.edge_count() : n * 4);
+  RowScratch row;
   for (std::size_t li = 0; li < n; ++li) {
-    const std::size_t gi = members == nullptr ? li : (*members)[li];
-    detail::require(gi < size(), "TrustGraph: member out of range");
-    row.clear();
-    for (const graph::Edge& e : graph_.out_edges(gi)) {
-      std::size_t lj = e.to;
-      if (members != nullptr) {
-        const auto it = std::lower_bound(members->begin(), members->end(), e.to);
-        if (it == members->end() || *it != e.to) continue;  // outsider
-        lj = static_cast<std::size_t>(it - members->begin());
-      }
-      if (lj == li) continue;
-      row.emplace_back(lj, e.weight);
-    }
-    std::sort(row.begin(), row.end());
-    double divisor = 1.0;
-    if (normalized) {
-      // Ascending sum over the sorted nonzeros == linalg::normalize_l1's
-      // sum over the dense row (absent entries add exactly +0.0), so
-      // each stored a_ij below is bit-equal to the dense a(i, j).
-      double sum = 0.0;
-      for (const auto& [c_, w] : row) sum += w;
-      if (sum <= 0.0) continue;  // dangling: dense row stays all-zero
-      divisor = sum;
-    }
-    for (const auto& [lj, w] : row) {
-      triplets.push_back({li, lj, w / divisor});
-    }
+    append_row(out, members == nullptr ? li : (*members)[li], members,
+               normalized, row);
   }
-  return linalg::SparseMatrix::from_triplets(n, n, std::move(triplets));
+  return std::move(out).finish();
+}
+
+linalg::SparseMatrix TrustGraph::normalized_rows(
+    std::span<const std::size_t> rows) const {
+  linalg::SparseMatrix::RowBuilder out(rows.size(), size());
+  RowScratch row;
+  for (const std::size_t i : rows) {
+    append_row(out, i, nullptr, /*normalized=*/true, row);
+  }
+  return std::move(out).finish();
 }
 
 linalg::SparseMatrix TrustGraph::normalized_sparse() const {

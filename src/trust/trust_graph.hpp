@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -36,7 +37,9 @@ class TrustGraph {
   explicit TrustGraph(std::size_t m) : graph_(m) {}
 
   /// Adopt an existing digraph (e.g. an Erdős–Rényi draw) as trust.
-  explicit TrustGraph(graph::Digraph g) : graph_(std::move(g)) {}
+  /// Throws InvalidArgument, naming the edge, when a weight is not
+  /// finite: like set_trust, a TrustGraph only ever holds finite trust.
+  explicit TrustGraph(graph::Digraph g);
 
   /// Copies are *new* graphs: same content and version, fresh `uid()`,
   /// so a ReputationCache entry keyed to the original never matches the
@@ -105,6 +108,14 @@ class TrustGraph {
   [[nodiscard]] linalg::SparseMatrix normalized_sparse(
       const std::vector<std::size_t>& members) const;
 
+  /// Selected rows of normalized_sparse(): row k of the result
+  /// (rows.size() x size()) is GSP rows[k]'s normalized out-trust, built
+  /// by the same routine, so bit-equal to that row of the full export.
+  /// O(sum of their degrees) — what ReputationCache re-weights its kept
+  /// operator with (DESIGN.md §4i).
+  [[nodiscard]] linalg::SparseMatrix normalized_rows(
+      std::span<const std::size_t> rows) const;
+
   /// Raw (unnormalized) coalition trust u_ij as CSR — the robust layer's
   /// credibility/consensus passes consume this instead of O(c^2)
   /// dense lookups. Pass all GSPs via the zero-argument overload.
@@ -120,8 +131,17 @@ class TrustGraph {
                           double outcome, double rate = 0.3);
 
  private:
+  using RowScratch = std::vector<std::pair<std::size_t, double>>;
+
   [[nodiscard]] static std::uint64_t next_uid() noexcept;
   void note_change(std::size_t i, std::size_t j);
+  /// The one row routine behind every CSR export: appends GSP gi's
+  /// out-trust as `out`'s next row — columns are positions in `members`
+  /// (all GSPs when null), outsiders and self-trust skipped, values
+  /// row-normalized (eq. (1)) when `normalized`.
+  void append_row(linalg::SparseMatrix::RowBuilder& out, std::size_t gi,
+                  const std::vector<std::size_t>* members, bool normalized,
+                  RowScratch& row) const;
   /// Shared CSR builder; normalizes rows when `normalized`.
   [[nodiscard]] linalg::SparseMatrix build_sparse(
       const std::vector<std::size_t>* members, bool normalized) const;

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "linalg/power_method.hpp"
 #include "util/error.hpp"
@@ -70,6 +73,57 @@ TEST(SparseMatrixTest, ValidatesTriplets) {
                InvalidArgument);
   EXPECT_THROW((void)SparseMatrix().row(0), InvalidArgument);
   EXPECT_THROW((void)SparseMatrix().at(0, 0), InvalidArgument);
+}
+
+TEST(SparseMatrixTest, RowBuilderMatchesFromTriplets) {
+  util::Xoshiro256 rng(31337);
+  const std::size_t rows = 40;
+  const std::size_t cols = 25;
+  std::vector<Triplet> triplets;
+  SparseMatrix::RowBuilder built(rows, cols);
+  for (std::size_t i = 0; i + 1 < rows; ++i) {  // the last row never ends
+    for (std::size_t j = 0; j < cols; ++j) {
+      if (!rng.bernoulli(0.2)) continue;
+      const double v = rng.bernoulli(0.1) ? 0.0 : rng.uniform(-1.0, 1.0);
+      built.push(j, v);  // zeros included: not stored
+      triplets.push_back({i, j, v});
+    }
+    built.end_row();
+  }
+  const SparseMatrix a = std::move(built).finish();
+  const SparseMatrix b = SparseMatrix::from_triplets(rows, cols, triplets);
+  ASSERT_EQ(a.rows(), rows);
+  ASSERT_EQ(a.nnz(), b.nnz());
+  for (std::size_t i = 0; i < rows; ++i) {
+    const SparseMatrix::RowView ra = a.row(i);
+    const SparseMatrix::RowView rb = b.row(i);
+    ASSERT_EQ(ra.size(), rb.size()) << "row " << i;
+    for (std::size_t k = 0; k < ra.size(); ++k) {
+      EXPECT_EQ(ra.cols[k], rb.cols[k]);
+      EXPECT_EQ(ra.values[k], rb.values[k]);
+      EXPECT_NE(ra.values[k], 0.0);
+    }
+  }
+}
+
+TEST(SparseMatrixTest, RowBuilderValidates) {
+  SparseMatrix::RowBuilder b(1, 3);
+  b.push(1, 1.0);
+  EXPECT_THROW(b.push(1, 2.0), InvalidArgument);  // column not ascending
+  EXPECT_THROW(b.push(3, 2.0), InvalidArgument);  // column out of range
+  EXPECT_THROW(b.push(2, std::numeric_limits<double>::infinity()),
+               InvalidArgument);
+  b.end_row();
+  EXPECT_THROW(b.push(0, 1.0), InvalidArgument);  // no row left
+  EXPECT_THROW(b.end_row(), InvalidArgument);
+  const SparseMatrix m = std::move(b).finish();
+  EXPECT_EQ(m.nnz(), 1u);
+  EXPECT_EQ(m.at(0, 1), 1.0);
+  // A duplicate sum that overflows is not finite either.
+  const double big = std::numeric_limits<double>::max();
+  EXPECT_THROW(
+      (void)SparseMatrix::from_triplets(1, 1, {{0, 0, big}, {0, 0, big}}),
+      InvalidArgument);
 }
 
 TEST(SparseMatrixTest, DenseRoundTripIsExact) {
@@ -166,6 +220,126 @@ TEST(SparsePowerMethodTest, EmptyAndValidation) {
   EXPECT_THROW((void)sparse_power_method(
                    SparseMatrix::from_triplets(2, 2, {{0, 1, -1.0}})),
                InvalidArgument);  // negative entry
+}
+
+void expect_same_operator(const GatherOperator& a, const GatherOperator& b) {
+  EXPECT_EQ(a.dangling(), b.dangling());
+  const SparseMatrix& ta = a.transposed();
+  const SparseMatrix& tb = b.transposed();
+  ASSERT_EQ(ta.rows(), tb.rows());
+  ASSERT_EQ(ta.nnz(), tb.nnz());
+  for (std::size_t j = 0; j < ta.rows(); ++j) {
+    const SparseMatrix::RowView ra = ta.row(j);
+    const SparseMatrix::RowView rb = tb.row(j);
+    ASSERT_EQ(ra.size(), rb.size()) << "row " << j;
+    for (std::size_t k = 0; k < ra.size(); ++k) {
+      EXPECT_EQ(ra.cols[k], rb.cols[k]);
+      EXPECT_EQ(ra.values[k], rb.values[k]) << "entry (" << j << ", " << k
+                                            << ")";
+    }
+  }
+}
+
+/// `a` with the rows `rows` replaced by the same rows of `b`.
+SparseMatrix splice_rows(const SparseMatrix& a, const SparseMatrix& b,
+                         const std::vector<std::size_t>& rows) {
+  SparseMatrix::RowBuilder out(a.rows(), a.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const bool patched = std::find(rows.begin(), rows.end(), i) != rows.end();
+    const SparseMatrix::RowView r = patched ? b.row(i) : a.row(i);
+    for (std::size_t k = 0; k < r.size(); ++k) out.push(r.cols[k], r.values[k]);
+    out.end_row();
+  }
+  return std::move(out).finish();
+}
+
+/// The rows `rows` of `m`, in that order.
+SparseMatrix select_rows(const SparseMatrix& m,
+                         const std::vector<std::size_t>& rows) {
+  SparseMatrix::RowBuilder out(rows.size(), m.cols());
+  for (const std::size_t i : rows) {
+    const SparseMatrix::RowView r = m.row(i);
+    for (std::size_t k = 0; k < r.size(); ++k) out.push(r.cols[k], r.values[k]);
+    out.end_row();
+  }
+  return std::move(out).finish();
+}
+
+TEST(SparsePowerMethodTest, PreparedOperatorIteratesLikeTheOneShotForm) {
+  util::Xoshiro256 rng(2718);
+  const SparseMatrix a =
+      SparseMatrix::from_dense(random_row_stochastic(90, 0.08, rng));
+  const GatherOperator op(a);
+  const PowerMethodResult once = sparse_power_method(a);
+  const PowerMethodResult kept = sparse_power_method(op);
+  EXPECT_EQ(kept.iterations, once.iterations);
+  EXPECT_EQ(kept.eigenvector, once.eigenvector);
+  // Iterating does not consume the operator: a second run is identical.
+  EXPECT_EQ(sparse_power_method(op).eigenvector, once.eigenvector);
+}
+
+TEST(SparsePowerMethodTest, ReweightedOperatorEqualsAFreshlyPreparedOne) {
+  util::Xoshiro256 rng(1618);
+  const std::size_t n = 120;
+  const Matrix dense = random_row_stochastic(n, 0.06, rng);
+  const SparseMatrix a = SparseMatrix::from_dense(dense);
+  // Same pattern, new weights: every stored entry re-drawn, rows
+  // re-normalized, dangling rows kept empty.
+  Matrix reweighted = dense;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (reweighted(i, j) != 0.0) reweighted(i, j) = rng.uniform(0.1, 1.0);
+    }
+    auto row = reweighted.row(i);
+    (void)normalize_l1(row);
+  }
+  const SparseMatrix b = SparseMatrix::from_dense(reweighted);
+  const std::vector<std::size_t> rows = {0, 3, 17, 64, 119};
+
+  GatherOperator op(a);
+  ASSERT_TRUE(op.reweight_rows(rows, select_rows(b, rows)));
+  expect_same_operator(op, GatherOperator(splice_rows(a, b, rows)));
+  EXPECT_EQ(sparse_power_method(op).eigenvector,
+            sparse_power_method(splice_rows(a, b, rows)).eigenvector);
+}
+
+TEST(SparsePowerMethodTest, ReweightRefusesColumnChangesAndWritesNothing) {
+  // Row 0 trusts 1 and 2, row 1 trusts 0, row 2 trusts nobody.
+  const SparseMatrix a = SparseMatrix::from_triplets(
+      3, 3, {{0, 1, 0.5}, {0, 2, 0.5}, {1, 0, 1.0}});
+  const auto patch = [](std::vector<Triplet> row) {
+    for (Triplet& t : row) t.row = 0;
+    return SparseMatrix::from_triplets(1, 3, std::move(row));
+  };
+  GatherOperator op(a);
+  const std::vector<std::size_t> row0 = {0};
+  const std::vector<std::size_t> row2 = {2};
+  // An entry added, dropped, or moved to another column.
+  EXPECT_FALSE(op.reweight_rows(
+      row0, patch({{0, 0, 0.2}, {0, 1, 0.4}, {0, 2, 0.4}})));
+  EXPECT_FALSE(op.reweight_rows(row0, patch({{0, 1, 1.0}})));
+  EXPECT_FALSE(op.reweight_rows(row0, patch({{0, 0, 0.5}, {0, 1, 0.5}})));
+  // A dangling row gaining an entry; a row losing all of them.
+  EXPECT_FALSE(op.reweight_rows(row2, patch({{0, 1, 1.0}})));
+  EXPECT_FALSE(op.reweight_rows(row0, patch({})));
+  // A valid first row does not let a bad second row through half-done.
+  const std::vector<std::size_t> rows01 = {0, 1};
+  EXPECT_FALSE(op.reweight_rows(
+      rows01, SparseMatrix::from_triplets(
+                  2, 3, {{0, 1, 0.25}, {0, 2, 0.75}, {1, 2, 1.0}})));
+  expect_same_operator(op, GatherOperator(a));
+
+  EXPECT_THROW((void)op.reweight_rows(row0, patch({{0, 1, -0.5}, {0, 2, 1.5}})),
+               InvalidArgument);  // negative
+  EXPECT_THROW((void)op.reweight_rows(rows01, patch({{0, 1, 1.0}})),
+               InvalidArgument);  // rows vs patch shape
+  const std::vector<std::size_t> row3 = {3};
+  EXPECT_THROW((void)op.reweight_rows(row3, patch({})), InvalidArgument);
+  expect_same_operator(op, GatherOperator(a));
+
+  EXPECT_TRUE(op.reweight_rows(row0, patch({{0, 1, 0.25}, {0, 2, 0.75}})));
+  EXPECT_EQ(op.transposed().at(1, 0), 0.25);
+  EXPECT_EQ(op.transposed().at(2, 0), 0.75);
 }
 
 TEST(SparsePowerMethodTest, WarmStartConvergesToSameFixedPointFaster) {

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -428,21 +429,37 @@ TEST(BenchDiffTest, IdenticalReportsPass) {
 }
 
 TEST(BenchDiffTest, LowerIsBetterGatesOnIncreaseOnly) {
-  const JsonValue base = report_from(R"({"total_iterations": 1000})");
+  const JsonValue base = report_from(R"({"deadline_misses": 1000})");
   // +5% is inside the 10% tolerance.
   EXPECT_TRUE(analysis::diff_bench_reports(
-                  base, report_from(R"({"total_iterations": 1050})"))
+                  base, report_from(R"({"deadline_misses": 1050})"))
                   .passed());
   // +50% gates.
   const analysis::BenchDiffResult worse = analysis::diff_bench_reports(
-      base, report_from(R"({"total_iterations": 1500})"));
+      base, report_from(R"({"deadline_misses": 1500})"));
   EXPECT_FALSE(worse.passed());
   EXPECT_EQ(worse.deltas[0].status, analysis::DeltaStatus::Regressed);
   // -50% is an improvement, not a gate.
   const analysis::BenchDiffResult better = analysis::diff_bench_reports(
-      base, report_from(R"({"total_iterations": 500})"));
+      base, report_from(R"({"deadline_misses": 500})"));
   EXPECT_TRUE(better.passed());
   EXPECT_EQ(better.deltas[0].status, analysis::DeltaStatus::Improved);
+}
+
+TEST(BenchDiffTest, IterationCountsGateExactly) {
+  // Power-iteration counts come from seeded graphs: converging in fewer
+  // iterations is a changed engine, and gates like needing more.
+  for (const char* key : {"cold_iterations", "total_converge_iterations",
+                          "rounds"}) {
+    SCOPED_TRACE(key);
+    const auto report = [&](int v) {
+      return report_from("{\"" + std::string(key) +
+                         "\": " + std::to_string(v) + "}");
+    };
+    EXPECT_TRUE(analysis::diff_bench_reports(report(20), report(20)).passed());
+    EXPECT_FALSE(analysis::diff_bench_reports(report(20), report(21)).passed());
+    EXPECT_FALSE(analysis::diff_bench_reports(report(20), report(19)).passed());
+  }
 }
 
 TEST(BenchDiffTest, NodeCountsGateExactly) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "trust/reputation.hpp"
 #include "trust/trust_graph.hpp"
@@ -25,6 +26,23 @@ TEST(TrustGraphValidationTest, NonFiniteTrustRejected) {
   // A failed set leaves the graph untouched.
   EXPECT_DOUBLE_EQ(g.trust(0, 1), 0.0);
   EXPECT_EQ(g.graph().edge_count(), 0u);
+}
+
+TEST(TrustGraphValidationTest, AdoptedDigraphWithInfiniteTrustRejected) {
+  // Digraph::set_edge accepts +inf (it only rejects negative weights);
+  // adopting such a digraph must fail at the boundary, not at compute.
+  graph::Digraph d(3);
+  d.set_edge(0, 1, 0.5);
+  d.set_edge(2, 1, std::numeric_limits<double>::infinity());
+  try {
+    const TrustGraph g(d);
+    ADD_FAILURE() << "adopted an infinite trust weight";
+  } catch (const InvalidArgument& e) {  // names the offending edge
+    EXPECT_NE(std::string(e.what()).find("(2, 1)"), std::string::npos)
+        << e.what();
+  }
+  d.set_edge(2, 1, 0.25);
+  EXPECT_NO_THROW(TrustGraph{d});
 }
 
 TEST(TrustGraphValidationTest, RejectedWriteDoesNotClobberExistingEdge) {

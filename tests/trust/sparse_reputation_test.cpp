@@ -68,6 +68,27 @@ TEST(TrustGraphSparseTest, NormalizedSparseMatchesDenseBitwise) {
   }
 }
 
+TEST(TrustGraphSparseTest, NormalizedRowsMatchTheFullExportBitwise) {
+  util::Xoshiro256 rng(4711);
+  const TrustGraph g = random_sparse_trust_graph(300, 5, rng);
+  const linalg::SparseMatrix full = g.normalized_sparse();
+  const std::vector<std::size_t> rows = {299, 0, 17, 17, 150};
+  const linalg::SparseMatrix some = g.normalized_rows(rows);
+  ASSERT_EQ(some.rows(), rows.size());
+  ASSERT_EQ(some.cols(), g.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const linalg::SparseMatrix::RowView a = some.row(k);
+    const linalg::SparseMatrix::RowView b = full.row(rows[k]);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t e = 0; e < a.size(); ++e) {
+      EXPECT_EQ(a.cols[e], b.cols[e]);
+      EXPECT_EQ(a.values[e], b.values[e]);
+    }
+  }
+  EXPECT_THROW((void)g.normalized_rows(std::vector<std::size_t>{300}),
+               InvalidArgument);
+}
+
 TEST(TrustGraphSparseTest, RawSparseHoldsUnnormalizedTrust) {
   TrustGraph g(4);
   g.set_trust(0, 1, 2.5);
