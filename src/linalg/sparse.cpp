@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -114,16 +115,32 @@ Matrix SparseMatrix::to_dense() const {
   return m;
 }
 
+std::vector<std::size_t> SparseMatrix::column_counts() const {
+  std::vector<std::size_t> counts(cols_, 0);
+  for (const std::size_t c : col_) ++counts[c];
+  return counts;
+}
+
 SparseMatrix SparseMatrix::transposed() const {
+  std::vector<std::size_t> order(cols_);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  return transposed(order, column_counts());
+}
+
+SparseMatrix SparseMatrix::transposed(std::span<const std::size_t> order,
+                                      std::vector<std::size_t> next) const {
   SparseMatrix t;
   t.rows_ = cols_;
   t.cols_ = rows_;
-  t.row_ptr_.assign(cols_ + 1, 0);
-  for (const std::size_t c : col_) ++t.row_ptr_[c + 1];
-  for (std::size_t r = 1; r <= cols_; ++r) t.row_ptr_[r] += t.row_ptr_[r - 1];
+  t.row_ptr_.resize(cols_ + 1);
+  t.row_ptr_[0] = 0;
+  // next[c], column c's count, becomes the slot its next entry goes to.
+  for (std::size_t p = 0; p < cols_; ++p) {
+    t.row_ptr_[p + 1] = t.row_ptr_[p] + next[order[p]];
+    next[order[p]] = t.row_ptr_[p];
+  }
   t.col_.resize(nnz());
   t.val_.resize(nnz());
-  std::vector<std::size_t> next(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
   // Walking rows (and columns within rows) ascending fills each output
   // row in ascending source-row order — the order the gather kernels
   // depend on for dense/sparse bit-identity.
@@ -171,8 +188,9 @@ std::vector<double> SparseMatrix::multiply_transposed(
 GatherOperator::GatherOperator(const SparseMatrix& a) {
   detail::require(a.rows() == a.cols(),
                   "sparse_power_method: matrix must be square");
-  row_nnz_.resize(a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
+  const std::size_t n = a.rows();
+  row_nnz_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const SparseMatrix::RowView r = a.row(i);
     row_nnz_[i] = r.size();
     if (r.empty()) dangling_.push_back(i);
@@ -181,7 +199,69 @@ GatherOperator::GatherOperator(const SparseMatrix& a) {
                       "sparse_power_method: matrix must be non-negative");
     }
   }
-  at_ = a.transposed();
+  // A^T's rows in ascending length, ties by row index: a stable counting
+  // sort on A's column counts, each at most n.
+  std::vector<std::size_t> length = a.column_counts();
+  std::vector<std::size_t> first(n + 2, 0);
+  for (const std::size_t len : length) ++first[len + 1];
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  order_.resize(n);
+  position_.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    position_[j] = first[length[j]]++;
+    order_[position_[j]] = j;
+  }
+  by_length_ = a.transposed(order_, std::move(length));
+}
+
+SparseMatrix::RowView GatherOperator::incoming(std::size_t j) const {
+  detail::require(j < size(), "GatherOperator: row out of range");
+  return by_length_.row(position_[j]);
+}
+
+void GatherOperator::apply(double damping, std::span<const double> x,
+                           std::span<double> y, std::size_t threads) const {
+  const std::size_t n = size();
+  if (x.size() != n || y.size() != n) {
+    throw DimensionMismatch("GatherOperator::apply: size mismatch");
+  }
+  double dangling_mass = 0.0;
+  for (const std::size_t i : dangling_) dangling_mass += x[i];
+  const double keep = 1.0 - damping;
+  const double base = keep * dangling_mass / static_cast<double>(n) +
+                      damping / static_cast<double>(n);
+  const std::size_t* ptr = by_length_.row_ptr_.data();
+  const std::size_t* src = by_length_.col_.data();
+  const double* val = by_length_.val_.data();
+  // Positions [begin, end): a run of rows of one length ends where the
+  // last one did, so the row-exit branch stays predicted. Each output
+  // is the i-ascending dot of its A^T row with x, whichever chunk holds
+  // it. No x_i == 0 term is skipped: a ±0 product added to a partial
+  // sum >= +0 leaves its bits unchanged (DESIGN.md §4i).
+  const auto gather = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t p = begin; p < end; ++p) {
+      double acc = 0.0;
+      for (std::size_t k = ptr[p]; k < ptr[p + 1]; ++k) {
+        acc += x[src[k]] * val[k];
+      }
+      y[order_[p]] = keep * acc + base;
+    }
+  };
+  // Smaller operators apply serially even when `threads` asks for the
+  // pool; every output is the same either way.
+  constexpr std::size_t kParallelRows = 2048;
+  if (threads > 1 && n >= kParallelRows) {
+    const std::size_t chunks = threads * 4;
+    const std::size_t grain = (n + chunks - 1) / chunks;
+    svo::util::parallel_for(
+        0, chunks,
+        [&](std::size_t c) {
+          gather(std::min(n, c * grain), std::min(n, (c + 1) * grain));
+        },
+        1);
+  } else {
+    gather(0, n);
+  }
 }
 
 bool GatherOperator::reweight_rows(std::span<const std::size_t> rows,
@@ -192,6 +272,7 @@ bool GatherOperator::reweight_rows(std::span<const std::size_t> rows,
   // turns out to change a row's columns leaves the operator untouched.
   std::vector<std::size_t> slots;
   slots.reserve(patch.nnz());
+  const auto col = by_length_.col_.begin();
   for (std::size_t k = 0; k < rows.size(); ++k) {
     const std::size_t i = rows[k];
     detail::require(i < size(), "GatherOperator: row out of range");
@@ -200,10 +281,11 @@ bool GatherOperator::reweight_rows(std::span<const std::size_t> rows,
     for (std::size_t e = 0; e < r.size(); ++e) {
       detail::require(r.values[e] >= 0.0,
                       "GatherOperator: matrix must be non-negative");
-      const std::size_t j = r.cols[e];
-      const auto col = at_.col_.begin();
-      const auto begin = col + static_cast<std::ptrdiff_t>(at_.row_ptr_[j]);
-      const auto end = col + static_cast<std::ptrdiff_t>(at_.row_ptr_[j + 1]);
+      const std::size_t p = position_[r.cols[e]];
+      const auto begin =
+          col + static_cast<std::ptrdiff_t>(by_length_.row_ptr_[p]);
+      const auto end =
+          col + static_cast<std::ptrdiff_t>(by_length_.row_ptr_[p + 1]);
       const auto it = std::lower_bound(begin, end, i);
       if (it == end || *it != i) return false;  // A(i, j) not stored
       slots.push_back(static_cast<std::size_t>(it - col));
@@ -211,48 +293,12 @@ bool GatherOperator::reweight_rows(std::span<const std::size_t> rows,
   }
   // Patch rows are contiguous in patch.val_, in slot order.
   for (std::size_t k = 0; k < slots.size(); ++k) {
-    at_.val_[slots[k]] = patch.val_[k];
+    by_length_.val_[slots[k]] = patch.val_[k];
   }
   return true;
 }
 
 namespace {
-
-/// Rows below this run the gather loop serially even when opts.threads
-/// asks for the pool; per-element results are identical either way.
-constexpr std::size_t kParallelRows = 2048;
-
-/// One application of the dangling-patched, damped transposed operator
-/// in gather form over the pre-transposed matrix: output j is the
-/// i-ascending dot of at.row(j) with x — exactly the accumulation order
-/// of the dense engine's column-block kernel, for any thread count.
-void apply_gather(const GatherOperator& op, double damping,
-                  std::span<const double> x, std::vector<double>& y,
-                  std::size_t threads) {
-  const SparseMatrix& at = op.transposed();
-  const std::size_t n = at.rows();
-  double dangling_mass = 0.0;
-  for (const std::size_t i : op.dangling()) dangling_mass += x[i];
-  const double base =
-      (1.0 - damping) * dangling_mass / static_cast<double>(n) +
-      damping / static_cast<double>(n);
-  const auto one_output = [&](std::size_t j) {
-    const SparseMatrix::RowView incoming = at.row(j);
-    double acc = 0.0;
-    for (std::size_t k = 0; k < incoming.size(); ++k) {
-      const double xi = x[incoming.cols[k]];
-      if (xi == 0.0) continue;
-      acc += xi * incoming.values[k];
-    }
-    y[j] = (1.0 - damping) * acc + base;
-  };
-  if (threads > 1 && n >= kParallelRows) {
-    const std::size_t grain = (n + threads * 4 - 1) / (threads * 4);
-    svo::util::parallel_for(0, n, one_output, grain);
-  } else {
-    for (std::size_t j = 0; j < n; ++j) one_output(j);
-  }
-}
 
 PowerMethodResult sparse_power_method_impl(const GatherOperator& op,
                                            const PowerMethodOptions& opts,
@@ -291,20 +337,27 @@ PowerMethodResult sparse_power_method_impl(const GatherOperator& op,
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     if (spmv_seconds != nullptr) {
       const util::WallTimer timer;
-      apply_gather(op, opts.damping, x, y, opts.threads);
+      op.apply(opts.damping, x, y, opts.threads);
       *spmv_seconds += timer.seconds();
     } else {
-      apply_gather(op, opts.damping, x, y, opts.threads);
+      op.apply(opts.damping, x, y, opts.threads);
     }
-    result.eigenvalue = norm_l1(y);
-    if (!normalize_l1(y)) {
+    const double norm = norm_l1(y);
+    result.eigenvalue = norm;
+    if (norm <= 0.0) {
       std::fill(y.begin(), y.end(), 1.0 / static_cast<double>(n));
       result.iterations = it + 1;
       result.converged = false;
       result.eigenvector = std::move(y);
       return result;
     }
-    const double delta = distance_l1(y, x);
+    // normalize_l1 then distance_l1 in one pass: the same divisions and
+    // the same index-ascending sum, so the same bits.
+    double delta = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] /= norm;
+      delta += std::abs(y[i] - x[i]);
+    }
     x.swap(y);
     result.iterations = it + 1;
     if (delta < opts.epsilon) {
@@ -326,10 +379,9 @@ PowerMethodResult sparse_power_method(const GatherOperator& op,
   PowerMethodResult result = sparse_power_method_impl(
       op, opts, warm_start, span.active() ? &spmv_seconds : nullptr);
   if (span.active()) {
-    const SparseMatrix& at = op.transposed();
-    span.arg("n", static_cast<double>(at.rows()));
-    span.arg("nnz", static_cast<double>(at.nnz()));
-    span.arg("fill_ratio", at.fill_ratio());
+    span.arg("n", static_cast<double>(op.size()));
+    span.arg("nnz", static_cast<double>(op.nnz()));
+    span.arg("fill_ratio", op.fill_ratio());
     span.arg("iterations", static_cast<double>(result.iterations));
     span.arg("converged", result.converged ? 1.0 : 0.0);
     span.arg("warm_started", result.warm_started ? 1.0 : 0.0);
@@ -338,13 +390,13 @@ PowerMethodResult sparse_power_method(const GatherOperator& op,
     m.counter("linalg.sparse_power.calls").add();
     m.counter("linalg.sparse_power.iterations").add(result.iterations);
     m.counter("linalg.spmv.applications").add(result.iterations);
-    m.counter("linalg.spmv.nnz").add(at.nnz() * result.iterations);
+    m.counter("linalg.spmv.nnz").add(op.nnz() * result.iterations);
     if (result.warm_started) m.counter("linalg.sparse_power.warm_starts").add();
     if (!result.converged) m.counter("linalg.sparse_power.nonconverged").add();
     m.histogram("linalg.sparse_power.iters_per_call")
         .observe(static_cast<double>(result.iterations));
     m.histogram("linalg.sparse_power.fill_pct")
-        .observe(100.0 * at.fill_ratio());
+        .observe(100.0 * op.fill_ratio());
   }
   return result;
 }

@@ -11,15 +11,16 @@
 ///    (`RowBuilder`); O(nnz) storage, O(row) iteration, O(log deg) lookup.
 ///  - `GatherOperator` + `sparse_power_method`: the sparse twin of
 ///    linalg::power_method, in two steps. Preparing the operator checks
-///    A and transposes it once; iterating applies it in *gather* form —
-///    output j is the i-ascending dot of A^T's row j with x — which makes
-///    the serial and pooled paths bit-identical to each other AND to the
-///    dense engine's summation order. Dense-vs-sparse equivalence is
-///    therefore exact, not approximate
-///    (tests/trust/sparse_reputation_test.cpp), and the pooled path is
-///    deterministic for every thread count. A kept operator can have
-///    rows re-weighted in place, so a caller iterating a slowly changing
-///    matrix pays O(changed rows) instead of O(nnz) set-up per solve.
+///    A and transposes it once, storing A^T's rows in ascending length
+///    order; iterating applies it in *gather* form — output j is the
+///    i-ascending dot of A^T's row j with x — which makes the serial and
+///    pooled paths bit-identical to each other AND to the dense engine's
+///    summation order. Dense-vs-sparse equivalence is therefore exact,
+///    not approximate (tests/trust/sparse_reputation_test.cpp), and the
+///    pooled path is deterministic for every thread count. A kept
+///    operator can have rows re-weighted in place, so a caller iterating
+///    a slowly changing matrix pays O(changed rows) instead of O(nnz)
+///    set-up per solve.
 ///  - Incremental re-convergence: a caller holding the previous round's
 ///    eigenvector passes it as `warm_start`; the iteration starts there
 ///    instead of uniform and converges in a fraction of the cold
@@ -103,7 +104,14 @@ class SparseMatrix {
       std::span<const double> x) const;
 
  private:
-  friend class GatherOperator;  // re-weights its transpose in place
+  friend class GatherOperator;  // lays out and re-weights its transpose
+
+  /// Stored entries per column: the row lengths of the transpose.
+  [[nodiscard]] std::vector<std::size_t> column_counts() const;
+  /// The transpose with its rows permuted: row p holds column order[p],
+  /// sorted by source row. `next` is column_counts().
+  [[nodiscard]] SparseMatrix transposed(std::span<const std::size_t> order,
+                                        std::vector<std::size_t> next) const;
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -137,11 +145,12 @@ class SparseMatrix::RowBuilder {
 };
 
 /// The operator sparse_power_method iterates, prepared once from a
-/// square, non-negative A: A^T in CSR — the gather layout — and A's
-/// dangling (empty) rows. Keeping one lets a caller iterate the same
+/// square, non-negative A: A^T — the gather layout — and A's dangling
+/// (empty) rows. A^T's rows are stored in ascending stored-entry count,
+/// ties by row index, so the gather loop meets rows of one length in a
+/// run (DESIGN.md §4i). Keeping one lets a caller iterate the same
 /// matrix again, or re-weight some of its rows in place, without
-/// re-checking and re-transposing all of A (trust::ReputationCache,
-/// DESIGN.md §4i).
+/// re-checking and re-transposing all of A (trust::ReputationCache).
 class GatherOperator {
  public:
   /// The operator of the empty 0x0 matrix.
@@ -151,13 +160,30 @@ class GatherOperator {
   explicit GatherOperator(const SparseMatrix& a);
 
   /// Dimension n of A.
-  [[nodiscard]] std::size_t size() const noexcept { return at_.rows(); }
-  /// A^T: row j holds column j of A, sorted by source row.
-  [[nodiscard]] const SparseMatrix& transposed() const noexcept { return at_; }
+  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+  /// Stored entries of A.
+  [[nodiscard]] std::size_t nnz() const noexcept { return by_length_.nnz(); }
+  /// nnz / n²; 0 for the empty operator.
+  [[nodiscard]] double fill_ratio() const noexcept {
+    return by_length_.fill_ratio();
+  }
+  /// Row j of A^T — column j of A — sorted by source row. Throws
+  /// InvalidArgument when out of range.
+  [[nodiscard]] SparseMatrix::RowView incoming(std::size_t j) const;
   /// Rows of A with no stored entry, ascending.
   [[nodiscard]] const std::vector<std::size_t>& dangling() const noexcept {
     return dangling_;
   }
+
+  /// One step of the dangling-patched, damped operator:
+  ///   y_j = (1-d) * (sum_i a_ij x_i + m / n) + d / n,
+  /// m the mass x puts on dangling rows. Each sum runs i-ascending, as in
+  /// linalg::power_method, so every y_j has the dense engine's bits at
+  /// any `threads`; above a size threshold the outputs are split over the
+  /// pool. y is overwritten. Throws DimensionMismatch unless x and y
+  /// have size().
+  void apply(double damping, std::span<const double> x, std::span<double> y,
+             std::size_t threads) const;
 
   /// Re-weight rows of A in place: row `rows[k]` of A takes the values of
   /// row k of `patch` (a rows.size() x n matrix). All or nothing: returns
@@ -172,10 +198,15 @@ class GatherOperator {
                      const SparseMatrix& patch);
 
  private:
-  SparseMatrix at_;
+  /// A^T with its rows in ascending length: row p is A^T's row order_[p].
+  SparseMatrix by_length_;
+  /// Position -> A^T row (the gather's output index).
+  std::vector<std::size_t> order_;
+  /// A^T row -> position in by_length_.
+  std::vector<std::size_t> position_;
   std::vector<std::size_t> dangling_;
   /// Stored entries per row of A. A patch row keeps A's column set iff
-  /// it stores as many entries and each is found in at_.
+  /// it stores as many entries and each is found in A^T.
   std::vector<std::size_t> row_nnz_;
 };
 

@@ -23,7 +23,6 @@
 
 #include "linalg/matrix.hpp"        // IWYU pragma: export
 #include "linalg/power_method.hpp"  // IWYU pragma: export
-#include "linalg/spectral.hpp"      // IWYU pragma: export
 
 #include "graph/centrality.hpp"  // IWYU pragma: export
 #include "graph/digraph.hpp"     // IWYU pragma: export

@@ -231,7 +231,6 @@ linalg::PowerMethodResult robust_power_method(
   // The sparse power method's prepared operator: the non-negativity
   // check, A^T and the dangling rows.
   const linalg::GatherOperator op(a);
-  const linalg::SparseMatrix& at = op.transposed();
 
   const double d = power.damping;
   std::vector<double> x(n, 1.0 / static_cast<double>(n));
@@ -244,7 +243,7 @@ linalg::PowerMethodResult robust_power_method(
       dangling_mass += weights[i] * x[i];
     }
     for (std::size_t j = 0; j < n; ++j) {
-      const linalg::SparseMatrix::RowView in = at.row(j);
+      const linalg::SparseMatrix::RowView in = op.incoming(j);
       contributions.clear();
       // Rater-ascending, x_i == 0 contributions kept: they take part in
       // the order statistics exactly as in the dense loop.

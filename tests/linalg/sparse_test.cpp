@@ -178,15 +178,45 @@ TEST(SparseMatrixTest, MultiplyMatchesDense) {
                DimensionMismatch);
 }
 
+/// Shapes at the extremes of the operator's length-ordered rows, n = 37.
+std::vector<Matrix> layout_extremes(util::Xoshiro256& rng) {
+  const std::size_t n = 37;
+  const std::size_t hub = n / 2;
+  // A star: every GSP trusts the hub, whose A^T row holds n-1 entries
+  // and goes last; the hub itself trusts nobody.
+  Matrix star(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != hub) star(i, hub) = 1.0;
+  }
+  // A cycle: every A^T row has length 1, so length order is index order.
+  Matrix cycle(n, n);
+  for (std::size_t i = 0; i < n; ++i) cycle(i, (i + 1) % n) = 1.0;
+  // Strictly lower triangular: A^T's row j holds n-1-j entries, so the
+  // rows take every length from 0 to n-1, in reverse index order.
+  Matrix lower(n, n);
+  for (std::size_t i = 1; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) lower(i, j) = rng.uniform(0.1, 1.0);
+    auto row = lower.row(i);
+    (void)normalize_l1(row);
+  }
+  // n = 1: a self-loop, and a lone GSP that trusts nobody.
+  return {star, cycle, lower, Matrix::from_rows({{1.0}}), Matrix(1, 1)};
+}
+
 /// The load-bearing property for the whole sparse backend: identical
 /// eigenvectors — bitwise — to the dense engine, including iteration
-/// counts, over random matrices, dangling rows, damping choices, and
-/// pool thread counts.
+/// counts, over random matrices, dangling rows, the layout's extreme
+/// shapes, damping choices, and pool thread counts.
 TEST(SparsePowerMethodTest, BitIdenticalToDenseEngine) {
   util::Xoshiro256 rng(2024);
+  std::vector<Matrix> inputs;
   for (int trial = 0; trial < 12; ++trial) {
     const std::size_t n = 2 + rng.index(40);
-    const Matrix dense = random_row_stochastic(n, rng.uniform(0.05, 0.6), rng);
+    inputs.push_back(random_row_stochastic(n, rng.uniform(0.05, 0.6), rng));
+  }
+  for (Matrix& shape : layout_extremes(rng)) inputs.push_back(std::move(shape));
+  for (const Matrix& dense : inputs) {
+    const std::size_t n = dense.rows();
     const SparseMatrix sparse = SparseMatrix::from_dense(dense);
     for (const double damping : {0.0, 0.15}) {
       PowerMethodOptions opts;
@@ -209,6 +239,75 @@ TEST(SparsePowerMethodTest, BitIdenticalToDenseEngine) {
   }
 }
 
+/// `m` with every non-empty row divided by its sum.
+SparseMatrix row_normalized(const SparseMatrix& m) {
+  SparseMatrix::RowBuilder out(m.rows(), m.cols(), m.nnz());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const SparseMatrix::RowView r = m.row(i);
+    double sum = 0.0;
+    for (const double v : r.values) sum += v;
+    for (std::size_t k = 0; k < r.size(); ++k) {
+      out.push(r.cols[k], r.values[k] / sum);
+    }
+    out.end_row();
+  }
+  return std::move(out).finish();
+}
+
+/// The gather spmv splits over the pool only from 2048 rows up: a
+/// 3000-GSP, degree-8 graph where every tenth GSP rates nobody (dangling
+/// rows of A) and nobody rates the GSPs numbered 3 mod 10 (empty rows of
+/// A^T). Threads 2 and 4 must give the iterations and eigenvector bits
+/// of threads 1, cold and after a re-weight patch.
+TEST(SparsePowerMethodTest, PooledGatherMatchesSerial) {
+  util::Xoshiro256 rng(3000);
+  const std::size_t n = 3000;
+  std::vector<Triplet> triplets;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 10 == 0) continue;
+    for (std::size_t t = 0; t < 8; ++t) {
+      const std::size_t j = rng.index(n);
+      if (j != i && j % 10 != 3) {
+        triplets.push_back({i, j, rng.uniform(0.1, 1.0)});
+      }
+    }
+  }
+  const SparseMatrix a =
+      row_normalized(SparseMatrix::from_triplets(n, n, triplets));
+  GatherOperator op(a);
+  ASSERT_EQ(op.dangling().size(), n / 10);
+  ASSERT_TRUE(op.incoming(3).empty());
+
+  const auto expect_pool_matches_serial = [](const GatherOperator& g) {
+    PowerMethodOptions opts;
+    const PowerMethodResult serial = sparse_power_method(g, opts);
+    ASSERT_TRUE(serial.converged);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+      opts.threads = threads;
+      const PowerMethodResult pooled = sparse_power_method(g, opts);
+      EXPECT_EQ(pooled.iterations, serial.iterations) << "threads=" << threads;
+      EXPECT_EQ(pooled.eigenvector, serial.eigenvector)
+          << "threads=" << threads;
+    }
+  };
+  expect_pool_matches_serial(op);
+
+  // Same columns, new weights, on every seventh row.
+  std::vector<std::size_t> rows;
+  std::vector<Triplet> patch;
+  for (std::size_t i = 1; i < n; i += 7) {
+    const SparseMatrix::RowView r = a.row(i);
+    for (const std::size_t j : r.cols) {
+      patch.push_back({rows.size(), j, rng.uniform(0.1, 1.0)});
+    }
+    rows.push_back(i);
+  }
+  ASSERT_TRUE(op.reweight_rows(
+      rows, row_normalized(SparseMatrix::from_triplets(rows.size(), n,
+                                                       std::move(patch)))));
+  expect_pool_matches_serial(op);
+}
+
 TEST(SparsePowerMethodTest, EmptyAndValidation) {
   const PowerMethodResult empty = sparse_power_method(SparseMatrix());
   EXPECT_TRUE(empty.converged);
@@ -220,17 +319,21 @@ TEST(SparsePowerMethodTest, EmptyAndValidation) {
   EXPECT_THROW((void)sparse_power_method(
                    SparseMatrix::from_triplets(2, 2, {{0, 1, -1.0}})),
                InvalidArgument);  // negative entry
+
+  const GatherOperator op(SparseMatrix::from_triplets(2, 2, {{0, 1, 1.0}}));
+  EXPECT_THROW((void)op.incoming(2), InvalidArgument);
+  std::vector<double> y(2);
+  EXPECT_THROW(op.apply(0.15, std::vector<double>(3, 0.5), y, 1),
+               DimensionMismatch);
 }
 
 void expect_same_operator(const GatherOperator& a, const GatherOperator& b) {
   EXPECT_EQ(a.dangling(), b.dangling());
-  const SparseMatrix& ta = a.transposed();
-  const SparseMatrix& tb = b.transposed();
-  ASSERT_EQ(ta.rows(), tb.rows());
-  ASSERT_EQ(ta.nnz(), tb.nnz());
-  for (std::size_t j = 0; j < ta.rows(); ++j) {
-    const SparseMatrix::RowView ra = ta.row(j);
-    const SparseMatrix::RowView rb = tb.row(j);
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.nnz(), b.nnz());
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    const SparseMatrix::RowView ra = a.incoming(j);
+    const SparseMatrix::RowView rb = b.incoming(j);
     ASSERT_EQ(ra.size(), rb.size()) << "row " << j;
     for (std::size_t k = 0; k < ra.size(); ++k) {
       EXPECT_EQ(ra.cols[k], rb.cols[k]);
@@ -338,8 +441,9 @@ TEST(SparsePowerMethodTest, ReweightRefusesColumnChangesAndWritesNothing) {
   expect_same_operator(op, GatherOperator(a));
 
   EXPECT_TRUE(op.reweight_rows(row0, patch({{0, 1, 0.25}, {0, 2, 0.75}})));
-  EXPECT_EQ(op.transposed().at(1, 0), 0.25);
-  EXPECT_EQ(op.transposed().at(2, 0), 0.75);
+  // A(0, 1) and A(0, 2) are the only entries of A^T's rows 1 and 2.
+  EXPECT_EQ(op.incoming(1).values[0], 0.25);
+  EXPECT_EQ(op.incoming(2).values[0], 0.75);
 }
 
 TEST(SparsePowerMethodTest, WarmStartConvergesToSameFixedPointFaster) {

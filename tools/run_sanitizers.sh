@@ -1,25 +1,45 @@
 #!/usr/bin/env bash
-# Run the tier-1 test suite under AddressSanitizer + UBSan.
-#
-# Uses the `asan-ubsan` CMake preset (build-asan/ tree, RelWithDebInfo,
-# -fsanitize=address,undefined with no recovery so any finding fails the
-# run). Usage:
+# Run the tier-1 test suite under AddressSanitizer + UBSan, or the
+# slices that cross threads under ThreadSanitizer.
 #
 #   tools/run_sanitizers.sh [--smoke-only] [ctest-args...]
+#   tools/run_sanitizers.sh --tsan [ctest-args...]
 #
-# --smoke-only stops after the `smoke` ctest label (the fast slice CI
-# runs on every push); without it the full suite follows. Extra
-# arguments are forwarded to ctest, e.g.
+# The default uses the `asan-ubsan` CMake preset (build-asan/ tree,
+# RelWithDebInfo, -fsanitize=address,undefined with no recovery so any
+# finding fails the run). --smoke-only stops after the `smoke` ctest
+# label (the fast slice CI runs on every push); without it the full
+# suite follows. Extra arguments are forwarded to ctest, e.g.
 #   tools/run_sanitizers.sh -R FaultInjector
+#
+# --tsan uses the `tsan` preset (build-tsan/ tree, -fsanitize=thread),
+# builds only the test binaries its labels run, and fails on any report:
+# the service's submit/cancel/drain and chaos retry/restart paths, the
+# telemetry sampler and registry stress, the recorder, and the pooled
+# gather spmv all run work on several threads at once.
 set -euo pipefail
 
-smoke_only=0
+mode=asan
 if [[ "${1:-}" == "--smoke-only" ]]; then
-  smoke_only=1
+  mode=smoke
+  shift
+elif [[ "${1:-}" == "--tsan" ]]; then
+  mode=tsan
   shift
 fi
 
 cd "$(dirname "$0")/.."
+
+if [[ "$mode" == "tsan" ]]; then
+  cmake --preset tsan
+  cmake --build --preset tsan -j "$(nproc)" --target svo_linalg_tests \
+    svo_trust_tests svo_svc_tests svo_obs_tests svo_sim_tests
+  export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
+  ctest --preset tsan --output-on-failure \
+    -L 'smoke_trust_scale|smoke_service|smoke_service_chaos|smoke_telemetry|smoke_observability' \
+    "$@"
+  exit 0
+fi
 
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)"
@@ -41,14 +61,15 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # ASan/UBSan, where ticket lifetime bugs surface; the chaos slice adds
 # the retry/restart/cancel-race paths, which cross threads mid-failure
 # and are where use-after-free bugs in re-queued tickets would hide;
-# the trust-scale slice drives the pooled gather-spmv kernel, the one
-# new parallel code path of the sparse engine; the telemetry slice
+# the trust-scale slice indexes the length-ordered gather operator and,
+# in its one 3000-GSP case, runs the pooled gather spmv, the one
+# parallel code path of the sparse engine; the telemetry slice
 # (DESIGN.md §4j) runs the tick-loop sampler, the concurrent registry
 # stress and the windowed-SLO layer, where data races between
 # submit/tick/health threads would surface.
 ctest --preset asan-ubsan -L 'smoke|smoke_stream|smoke_service|smoke_service_chaos|smoke_trust_scale|smoke_telemetry' --output-on-failure
 
-if [[ "$smoke_only" == "1" ]]; then
+if [[ "$mode" == "smoke" ]]; then
   exit 0
 fi
 
