@@ -132,8 +132,8 @@ BENCHMARK(BM_LocalSearchPolish)->Arg(256)->Arg(1024)->Arg(4096);
 // Warm-vs-cold mechanism loop (BENCH_warmstart.json).
 //
 // The cold arm re-solves every shrunken coalition from scratch with the
-// full node budget. The warm arm repairs the previous mapping, reuses
-// the cached cost orders, and re-verifies under BnbOptions::
+// full node budget. The warm arm repairs the previous mapping, derives
+// the solve kernel from the previous one, and re-verifies under BnbOptions::
 // warm_max_nodes = max_nodes / 4 — the repaired incumbent already
 // carries the predecessor's search effort, so re-paying the full budget
 // per iteration is pure overhead. The JSON records, per run, whether

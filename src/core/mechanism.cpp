@@ -67,12 +67,12 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
 
   // Algorithm 1 main loop, started from the candidate pool (the grand
   // coalition in the paper's setting). Under the Incremental policy
-  // each iteration hands the next one its evaluation plus the removed
-  // GSP, so line 5 can repair instead of solving from scratch;
+  // every iteration passes a warm hint (the first starts the kernel
+  // chain) and hands the next one its evaluation plus the removed GSP,
+  // so line 5 can repair and derive instead of solving from scratch;
   // references into the value-function cache are stable.
   game::Coalition c = candidates;
   std::vector<game::Coalition> feasible_list;  // L
-  bool infeasible_hit = false;
   const bool warm = request.warm_start == WarmStartPolicy::Incremental;
   const game::CoalitionEvaluation* prev_eval = nullptr;
   std::size_t prev_removed = SIZE_MAX;
@@ -82,9 +82,8 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
       iter_span.arg("coalition_size", static_cast<double>(c.size()));
     }
     const game::CoalitionEvaluation& eval =  // line 5
-        warm && prev_eval != nullptr
-            ? v.evaluate(c, game::WarmHint{prev_eval, prev_removed})
-            : v.evaluate(c);
+        warm ? v.evaluate(c, game::WarmHint{prev_eval, prev_removed})
+             : v.evaluate(c);
     if (iter_span.active()) {
       iter_span.arg("feasible", eval.feasible ? 1.0 : 0.0);
     }
@@ -104,7 +103,6 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
 
     if (!eval.feasible) {  // flag stays TRUE -> loop terminates (line 13)
       result.journal.push_back(rec);
-      infeasible_hit = true;
       break;
     }
 
@@ -130,7 +128,6 @@ MechanismResult VoFormationMechanism::run(const FormationRequest& request) const
     prev_removed = members[pick];
     c = c.without(members[pick]);
   }
-  (void)infeasible_hit;
 
   // Lines 14-15: pick the best feasible VO from L.
   double best_key = -std::numeric_limits<double>::infinity();

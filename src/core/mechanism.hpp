@@ -122,10 +122,10 @@ enum class WarmStartPolicy {
   /// Every iteration solves cold, as the seed implementation did.
   Off,
   /// Repair the previous iteration's mapping after the removal and hand
-  /// it to the solver as a warm incumbent, together with the full
-  /// instance's per-task cost orders. Hints only tighten pruning: a
-  /// solver that runs to proof selects a bit-identical VO at identical
-  /// cost (enforced by tests/core/warm_start_test.cpp).
+  /// it to the solver as a warm incumbent, together with the solve
+  /// kernel derived from the previous iteration's. Hints only tighten
+  /// pruning: a solver that runs to proof selects a bit-identical VO at
+  /// identical cost (enforced by tests/core/warm_start_test.cpp).
   Incremental,
 };
 

@@ -1,5 +1,7 @@
 #include "game/value_function.hpp"
 
+#include <bit>
+
 namespace svo::game {
 
 VoValueFunction::VoValueFunction(const ip::AssignmentInstance& inst,
@@ -35,16 +37,19 @@ const CoalitionEvaluation& VoValueFunction::evaluate_impl(
 
     ip::AssignmentSolution sol;
     if (hint != nullptr) {
-      // The full instance is the common "parent" coordinate system:
-      // mappings are stored in original GSP indices and `original` maps
-      // restricted rows back to it, so both the repaired incumbent and
-      // the shared cost orders translate through `original` alone.
-      if (cost_order_ == nullptr) {
-        cost_order_ = std::make_shared<ip::CostOrderCache>(inst_);
+      // Derive from the kept kernel when it is the parent coalition's:
+      // the removed GSP's parent row is the number of members below it.
+      const std::size_t g = hint->removed_gsp;
+      if (kernel_ != nullptr && g < inst_.num_gsps() && !c.contains(g) &&
+          c.with(g) == kernel_coalition_) {
+        kernel_ = std::make_shared<const ip::SolveKernel>(
+            *kernel_, std::popcount(c.bits() & ((std::uint64_t{1} << g) - 1)));
+      } else {
+        kernel_ = std::make_shared<const ip::SolveKernel>(sub);
       }
+      kernel_coalition_ = c;
       ip::WarmStart warm;
-      warm.cost_order = cost_order_;
-      warm.rows = original;
+      warm.kernel = kernel_;
       if (hint->previous != nullptr && hint->previous->feasible &&
           hint->previous->mapping.size() == inst_.num_tasks()) {
         const ip::RepairResult repaired = ip::repair_for_removal(

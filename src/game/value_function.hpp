@@ -36,8 +36,9 @@ struct CoalitionEvaluation {
 
 /// Warm-start hint for evaluate(): the evaluation of the parent
 /// coalition C in the shrinking loop, plus the (original-index) GSP
-/// whose removal produced the coalition being evaluated. The hint is
-/// advisory — warm and cold evaluations of the same coalition agree on
+/// whose removal produced the coalition being evaluated (neither on the
+/// first iteration, which starts the kernel chain). The hint is advisory
+/// — warm and cold evaluations of the same coalition agree on
 /// feasibility, cost, value, and mapping whenever the solver runs to
 /// proof (see ip/warm_start.hpp).
 struct WarmHint {
@@ -67,12 +68,13 @@ class VoValueFunction {
   /// (DESIGN.md §4.4). Throws InvalidArgument if `c` exceeds m players.
   const CoalitionEvaluation& evaluate(Coalition c) const;
 
-  /// Warm evaluation: like evaluate(c), but when `hint.previous` holds a
-  /// feasible mapping of c + {hint.removed_gsp}, repair it (reassign
-  /// only the removed GSP's tasks) into a warm incumbent and reuse the
-  /// full instance's per-task cost orders, both handed to the solver as
-  /// ip::WarmStart. Memoized identically to evaluate(c); a cache hit
-  /// ignores the hint.
+  /// Warm evaluation: like evaluate(c), but hands the solver an
+  /// ip::WarmStart whose kernel is derived from the kept kernel when
+  /// that is the parent coalition c + {hint.removed_gsp}'s (built from
+  /// the restricted instance otherwise; it becomes the kept one) and,
+  /// when `hint.previous` holds a feasible mapping of the parent, its
+  /// repair (only the removed GSP's tasks move) as a warm incumbent.
+  /// Memoized identically to evaluate(c); a cache hit ignores the hint.
   const CoalitionEvaluation& evaluate(Coalition c, const WarmHint& hint) const;
 
   /// v(C) shortcut.
@@ -90,9 +92,10 @@ class VoValueFunction {
   const ip::AssignmentInstance& inst_;
   const ip::AssignmentSolver& solver_;
   mutable std::unordered_map<std::uint64_t, CoalitionEvaluation> cache_;
-  /// Per-task cost orders of the full instance, built lazily on the
-  /// first warm evaluation and shared by every restricted solve.
-  mutable std::shared_ptr<const ip::CostOrderCache> cost_order_;
+  /// The newest warm evaluation's solve kernel and its coalition: the
+  /// parent the next evaluation of the chain derives from.
+  mutable std::shared_ptr<const ip::SolveKernel> kernel_;
+  mutable Coalition kernel_coalition_;
 };
 
 }  // namespace svo::game

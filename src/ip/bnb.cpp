@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "ip/greedy.hpp"
 #include "ip/solve_kernel.hpp"
@@ -178,15 +179,21 @@ AssignmentSolution BnbAssignmentSolver::solve(const AssignmentInstance& inst,
 AssignmentSolution BnbAssignmentSolver::solve_impl(
     const AssignmentInstance& inst, const WarmStart* warm) const {
   // The time budget covers the whole solve, validation and set-up
-  // included.
+  // included; a kernel handed in by the caller was set up before entry.
   const util::WallTimer clock;
   obs::Span span("ip.bnb.solve", "ip");
 
-  // Validates `inst`; reuses the parent instance's cost orders when the
-  // hint matches this instance and sorts them otherwise.
-  const SolveKernel kernel(inst,
-                           warm != nullptr ? warm->cost_order.get() : nullptr,
-                           warm != nullptr ? &warm->rows : nullptr);
+  // Read the hint's kernel when it describes `inst`; otherwise build one,
+  // which validates `inst`.
+  const SolveKernel* kernel = warm != nullptr ? warm->kernel.get() : nullptr;
+  std::optional<SolveKernel> built;
+  if (kernel == nullptr || kernel->num_gsps() != inst.num_gsps() ||
+      kernel->num_tasks() != inst.num_tasks() ||
+      kernel->deadline() != inst.deadline ||
+      kernel->payment() != inst.payment ||
+      kernel->require_all_gsps_used() != inst.require_all_gsps_used) {
+    kernel = &built.emplace(inst);
+  }
   // Accept the incumbent hint only when fully feasible ((10)-(13)); it
   // can then only tighten pruning, never change the proven status/cost.
   const bool warm_incumbent_ok =
@@ -194,14 +201,14 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
       warm->incumbent.size() == inst.num_tasks() &&
       check_feasible(inst, warm->incumbent).empty();
 
-  // A solve that accepted any warm hint is a re-verification of an
-  // incrementally modified instance; warm_max_nodes (when set) caps it.
+  // A solve that accepted a derived kernel or a warm incumbent is a
+  // re-verification of an incrementally modified instance;
+  // warm_max_nodes (when set) caps it.
   BnbOptions effective = opts_;
-  if (opts_.warm_max_nodes > 0 &&
-      (kernel.reused_cost_orders() || warm_incumbent_ok)) {
+  if (opts_.warm_max_nodes > 0 && (kernel->derived() || warm_incumbent_ok)) {
     effective.max_nodes = std::min(effective.max_nodes, opts_.warm_max_nodes);
   }
-  Search search(kernel, effective, clock);
+  Search search(*kernel, effective, clock);
 
   AssignmentSolution sol;
   // Warm incumbent first: a repaired previous mapping is typically
@@ -214,13 +221,13 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
   }
   if (opts_.seed_with_greedy) {
     Assignment seed =
-        greedy_construct(kernel, GreedyOptions::Order::RegretDescending);
+        greedy_construct(*kernel, GreedyOptions::Order::RegretDescending);
     if (seed.empty()) {
-      seed = greedy_construct(kernel, GreedyOptions::Order::TimeDescending);
+      seed = greedy_construct(*kernel, GreedyOptions::Order::TimeDescending);
     }
     if (!seed.empty()) {
       // Greedy construction satisfies (11)-(13) by construction.
-      const double cost = local_search(kernel, seed, opts_.polish);
+      const double cost = local_search(*kernel, seed, opts_.polish);
       search.seed_incumbent(std::move(seed), cost);
     }
   }

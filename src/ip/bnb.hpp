@@ -5,8 +5,8 @@
 /// node/time budgeted) at paper scale. See DESIGN.md §1 and §4.4.
 ///
 /// Search organization:
-///  - every phase reads one task-major SolveKernel built at solve entry
-///    (ip/solve_kernel.hpp);
+///  - every phase reads one task-major SolveKernel (ip/solve_kernel.hpp),
+///    built at solve entry or handed in by a warm hint;
 ///  - tasks are branched in descending static-regret order;
 ///  - children (GSP choices) are explored in ascending cost order;
 ///  - node lower bound = cost so far + sum of capacity-blind per-task
@@ -24,17 +24,19 @@ namespace svo::ip {
 struct BnbOptions {
   /// Node budget; exceeding it makes the result anytime (no proof).
   std::size_t max_nodes = 500'000;
-  /// Node budget for warm-hinted solves (0 = use max_nodes). A warm
-  /// solve re-verifies an incrementally modified instance whose
-  /// predecessor already received a full budget, so capping the
-  /// re-verification keeps mechanism-loop work proportional to the
-  /// change instead of re-paying the full budget per iteration. Solves
-  /// that exhaust within the reduced budget (the exact regime) are
-  /// bit-identical to cold; truncated ones keep the warm incumbent.
+  /// Node budget (0 = use max_nodes) for warm solves, which read a
+  /// derived kernel or accepted a warm incumbent: they re-verify an
+  /// incrementally modified instance whose predecessor already received
+  /// a full budget, so capping them keeps mechanism-loop work
+  /// proportional to the change instead of re-paying the full budget per
+  /// iteration. Solves that exhaust within the reduced budget (the exact
+  /// regime) are bit-identical to cold; truncated ones keep the warm
+  /// incumbent.
   std::size_t warm_max_nodes = 0;
   /// Wall-clock budget in seconds, measured from entry into solve():
   /// validation, kernel build and the greedy seed count against it, not
-  /// only the search. Checked every 1024 nodes; 0 disables the check.
+  /// only the search; a warm hint's kernel is set up before entry and
+  /// does not. Checked every 1024 nodes; 0 disables the check.
   double time_limit_seconds = 0.0;
   /// Seed the incumbent with greedy construction + local search.
   bool seed_with_greedy = true;
@@ -54,9 +56,9 @@ class BnbAssignmentSolver final : public AssignmentSolver {
   [[nodiscard]] AssignmentSolution solve(
       const AssignmentInstance& inst) const override;
   /// Warm-started solve (ip/warm_start.hpp): seeds the incumbent from
-  /// `warm` when it is feasible and filters the cached parent cost
-  /// orders instead of re-sorting. Hints only tighten pruning — a run
-  /// to proof returns the same status and cost as the cold solve.
+  /// `warm` when it is feasible and reads `warm.kernel` when its shape,
+  /// deadline, payment and (13) flag match `inst`. Hints only tighten
+  /// pruning — a run to proof returns the same status and cost as cold.
   [[nodiscard]] AssignmentSolution solve(const AssignmentInstance& inst,
                                          const WarmStart& warm) const override;
   [[nodiscard]] std::string name() const override { return "bnb"; }

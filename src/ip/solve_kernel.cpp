@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
-
-#include "ip/warm_start.hpp"
 
 namespace svo::ip {
 
@@ -16,6 +15,13 @@ namespace {
 /// up to k = 64, the most GSPs a coalition holds; larger instances get
 /// std::stable_sort's O(k log k).
 constexpr std::size_t kRankSortMax = 64;
+
+/// Regret of a task with costs `c` over k GSPs and cost order `o`.
+double regret_of(const double* c, const std::uint32_t* o, std::size_t k) {
+  const double second =
+      k > 1 ? c[o[1]] : std::numeric_limits<double>::infinity();
+  return std::isfinite(second) ? second - c[o[0]] : 0.0;
+}
 
 }  // namespace
 
@@ -45,9 +51,7 @@ void stable_cost_order(const double* costs, std::size_t k,
   }
 }
 
-SolveKernel::SolveKernel(const AssignmentInstance& inst,
-                         const CostOrderCache* cache,
-                         const std::vector<std::size_t>* rows)
+SolveKernel::SolveKernel(const AssignmentInstance& inst)
     : k_(inst.num_gsps()),
       n_(inst.num_tasks()),
       deadline_(inst.deadline),
@@ -58,57 +62,24 @@ SolveKernel::SolveKernel(const AssignmentInstance& inst,
                   "SolveKernel: too many GSPs");
   // Transpose task by task: the k source rows are read as k sequential
   // streams and each task's row is written once.
-  cost_.resize(n_ * k_);
-  time_.resize(n_ * k_);
+  cost_ = std::make_unique_for_overwrite<double[]>(n_ * k_);
+  time_ = std::make_unique_for_overwrite<double[]>(n_ * k_);
+  order_ = std::make_unique_for_overwrite<std::uint32_t[]>(n_ * k_);
+  min_cost_.resize(n_);
+  regret_.resize(n_);
   const double* cost_src = inst.cost.data().data();
   const double* time_src = inst.time.data().data();
   for (std::size_t t = 0; t < n_; ++t) {
-    double* c = cost_.data() + t * k_;
-    double* tm = time_.data() + t * k_;
+    double* c = cost_.get() + t * k_;
+    double* tm = time_.get() + t * k_;
     for (std::size_t g = 0; g < k_; ++g) {
       c[g] = cost_src[g * n_ + t];
       tm[g] = time_src[g * n_ + t];
     }
-  }
-
-  order_.resize(n_ * k_);
-  reused_cost_orders_ = cache != nullptr && rows != nullptr &&
-                        rows->size() == k_ && cache->num_tasks() == n_;
-  for (std::size_t r = 0; reused_cost_orders_ && r < k_; ++r) {
-    reused_cost_orders_ = (*rows)[r] < cache->num_gsps() &&
-                          (r == 0 || (*rows)[r] > (*rows)[r - 1]);
-  }
-  if (reused_cost_orders_) {
-    constexpr std::uint32_t kDropped = std::numeric_limits<std::uint32_t>::max();
-    std::vector<std::uint32_t> child_of(cache->num_gsps(), kDropped);
-    for (std::size_t r = 0; r < k_; ++r) {
-      child_of[(*rows)[r]] = static_cast<std::uint32_t>(r);
-    }
-    for (std::size_t t = 0; t < n_; ++t) {
-      const std::uint32_t* full = cache->order(t);
-      std::uint32_t* row = order_.data() + t * k_;
-      std::size_t w = 0;
-      for (std::size_t i = 0; i < cache->num_gsps() && w < k_; ++i) {
-        const std::uint32_t child = child_of[full[i]];
-        if (child != kDropped) row[w++] = child;
-      }
-    }
-  } else {
-    for (std::size_t t = 0; t < n_; ++t) {
-      stable_cost_order(costs(t), k_, order_.data() + t * k_);
-    }
-  }
-
-  min_cost_.resize(n_);
-  std::vector<double> regret(n_);
-  for (std::size_t t = 0; t < n_; ++t) {
-    const double* c = costs(t);
-    const std::uint32_t* o = cost_order(t);
-    const double best = c[o[0]];
-    const double second =
-        k_ > 1 ? c[o[1]] : std::numeric_limits<double>::infinity();
-    min_cost_[t] = best;
-    regret[t] = std::isfinite(second) ? second - best : 0.0;
+    std::uint32_t* o = order_.get() + t * k_;
+    stable_cost_order(c, k_, o);
+    min_cost_[t] = c[o[0]];
+    regret_[t] = regret_of(c, o, k_);
   }
   // Breaking high-regret decisions first tightens B&B bounds early, and
   // gives greedy construction its hardest choices while capacity lasts.
@@ -116,8 +87,65 @@ SolveKernel::SolveKernel(const AssignmentInstance& inst,
   std::iota(regret_order_.begin(), regret_order_.end(), std::size_t{0});
   std::stable_sort(regret_order_.begin(), regret_order_.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return regret[a] > regret[b];
+                     return regret_[a] > regret_[b];
                    });
+}
+
+SolveKernel::SolveKernel(const SolveKernel& parent, std::size_t removed_row)
+    : k_(parent.k_ - 1),
+      n_(parent.n_),
+      deadline_(parent.deadline_),
+      payment_(parent.payment_),
+      require_all_gsps_used_(parent.require_all_gsps_used_),
+      derived_(true) {
+  detail::require(parent.k_ >= 2 && removed_row < parent.k_,
+                  "SolveKernel: derivation needs a parent row and a survivor");
+  const auto g = static_cast<std::uint32_t>(removed_row);
+  min_cost_ = parent.min_cost_;
+  regret_ = parent.regret_;
+  // The child's rows, laid end to end, are the parent's with every
+  // (k+1)-th entry from `g` on dropped: n + 1 contiguous runs.
+  const auto drop_column = [&](const double* from) {
+    auto to = std::make_unique_for_overwrite<double[]>(n_ * k_);
+    std::copy(from, from + g, to.get());
+    for (std::size_t t = 0; t < n_; ++t) {
+      const std::size_t end = std::min((t + 1) * (k_ + 1) + g, n_ * (k_ + 1));
+      std::copy(from + t * (k_ + 1) + g + 1, from + end, to.get() + t * k_ + g);
+    }
+    return to;
+  };
+  cost_ = drop_column(parent.cost_.get());
+  time_ = drop_column(parent.time_.get());
+  order_ = std::make_unique_for_overwrite<std::uint32_t[]>(n_ * k_);
+  std::vector<std::size_t> moved;  // tasks whose regret changed, by index
+  for (std::size_t t = 0; t < n_; ++t) {
+    // Branch-free filter: once `g` has been passed, read one entry ahead.
+    const std::uint32_t* po = parent.cost_order(t);
+    std::uint32_t* o = order_.get() + t * k_;
+    for (std::size_t i = 0, passed = 0; i < k_; ++i) {
+      passed |= po[i] == g ? 1 : 0;
+      o[i] = po[i + passed] - (po[i + passed] > g ? 1 : 0);
+    }
+    if (po[0] == g || po[1] == g) {
+      min_cost_[t] = costs(t)[o[0]];
+      regret_[t] = regret_of(costs(t), o, k_);
+      if (regret_[t] != parent.regret_[t]) moved.push_back(t);
+    }
+  }
+  // Tasks whose regret is unchanged keep their relative order; merge the
+  // moved ones back in under the same total order (regret descending,
+  // index ascending) that the stable sort of a built kernel produces.
+  const auto before = [this](std::size_t a, std::size_t b) {
+    return regret_[a] > regret_[b] || (regret_[a] == regret_[b] && a < b);
+  };
+  std::ranges::sort(moved, before);
+  regret_order_.reserve(n_);
+  std::ranges::copy_if(
+      parent.regret_order_, std::back_inserter(regret_order_),
+      [&](std::size_t t) { return regret_[t] == parent.regret_[t]; });
+  const auto mid =
+      regret_order_.insert(regret_order_.end(), moved.begin(), moved.end());
+  std::inplace_merge(regret_order_.begin(), mid, regret_order_.end(), before);
 }
 
 }  // namespace svo::ip

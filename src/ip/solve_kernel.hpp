@@ -7,30 +7,29 @@
 /// contiguously and computes, once, what the phases share:
 ///
 ///  - each task's stable cost-ascending GSP order (the B&B's child
-///    order; local search's relocation scan), either filtered from a
-///    parent instance's CostOrderCache or sorted;
-///  - each task's minimum cost (the B&B's capacity-blind bound);
+///    order; local search's relocation scan);
+///  - each task's minimum cost (the B&B's capacity-blind bound) and
+///    regret;
 ///  - one regret order — tasks by descending gap between their two
 ///    cheapest GSPs, ties by index — which is both the B&B's branching
 ///    order and greedy construction's RegretDescending task order.
 ///
-/// Building a kernel validates the instance; each solver entry builds
-/// one kernel, so a solve validates once. See DESIGN.md §4c.
+/// A kernel is built from an instance, which validates it, or derived
+/// from a parent kernel by dropping one GSP row as Algorithm 1's
+/// coalition shrinks. See DESIGN.md §4c.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ip/assignment.hpp"
 
 namespace svo::ip {
 
-class CostOrderCache;  // ip/warm_start.hpp
-
 /// Write the stable cost-ascending order of GSPs 0..k-1 into `order`:
 /// ascending `costs[g]`, ties by ascending g. `costs` must hold no NaN
-/// (AssignmentInstance::validate rejects them). The single child-order
-/// implementation behind SolveKernel and CostOrderCache.
+/// (AssignmentInstance::validate rejects them).
 void stable_cost_order(const double* costs, std::size_t k,
                        std::uint32_t* order);
 
@@ -38,21 +37,19 @@ void stable_cost_order(const double* costs, std::size_t k,
 class SolveKernel {
  public:
   /// Validate `inst` (AssignmentInstance::validate) and build its kernel.
-  /// `cache` and `rows` may offer a parent instance's cost orders, with
-  /// row r of `inst` being row rows[r] of the cache's parent. When they
-  /// match `inst` — one parent row per GSP, strictly increasing, and the
-  /// same tasks — the cost orders are filtered from the cache, which is
-  /// bit-identical to sorting because row restriction preserves relative
-  /// order and both orders are stable; otherwise they are sorted. Only
-  /// the pointers' targets are read, and only during construction.
-  explicit SolveKernel(const AssignmentInstance& inst,
-                       const CostOrderCache* cache = nullptr,
-                       const std::vector<std::size_t>* rows = nullptr);
+  explicit SolveKernel(const AssignmentInstance& inst);
 
-  /// True when the cost orders were filtered from the offered cache.
-  [[nodiscard]] bool reused_cost_orders() const noexcept {
-    return reused_cost_orders_;
-  }
+  /// Derive the kernel of `parent`'s instance with GSP row `removed_row`
+  /// dropped, bit-identical (every field, the regret order included) to
+  /// building it from AssignmentInstance::restrict_to's output: each
+  /// task's cost order is the parent's minus the row, renumbered, and
+  /// only tasks whose regret changed are re-sorted and merged back. It
+  /// does not re-validate: the values were validated at the root.
+  /// Requires parent.num_gsps() >= 2 and removed_row < parent.num_gsps().
+  SolveKernel(const SolveKernel& parent, std::size_t removed_row);
+
+  /// True when this kernel was derived from a parent kernel.
+  [[nodiscard]] bool derived() const noexcept { return derived_; }
 
   [[nodiscard]] std::size_t num_gsps() const noexcept { return k_; }
   [[nodiscard]] std::size_t num_tasks() const noexcept { return n_; }
@@ -64,23 +61,26 @@ class SolveKernel {
 
   /// c(g, t) for g in [0, k): task t's costs, contiguous.
   [[nodiscard]] const double* costs(std::size_t t) const noexcept {
-    return cost_.data() + t * k_;
+    return cost_.get() + t * k_;
   }
   /// t(g, t) for g in [0, k): task t's execution times, contiguous.
   [[nodiscard]] const double* times(std::size_t t) const noexcept {
-    return time_.data() + t * k_;
+    return time_.get() + t * k_;
   }
   /// Task t's GSPs by ascending cost, ties by index. Length k.
   [[nodiscard]] const std::uint32_t* cost_order(std::size_t t) const noexcept {
-    return order_.data() + t * k_;
+    return order_.get() + t * k_;
   }
   /// Cheapest cost of task t over all GSPs (capacity-blind).
   [[nodiscard]] double min_cost(std::size_t t) const noexcept {
     return min_cost_[t];
   }
-  /// All tasks by descending regret, ties by index. A task's regret is
-  /// its second-cheapest cost minus its cheapest, or 0 when the second
-  /// is not finite (one GSP, or +inf costs).
+  /// Task t's second-cheapest cost minus its cheapest, or 0 when the
+  /// second is not finite (one GSP, or +inf costs).
+  [[nodiscard]] double regret(std::size_t t) const noexcept {
+    return regret_[t];
+  }
+  /// All tasks by descending regret, ties by index.
   [[nodiscard]] const std::vector<std::size_t>& regret_order() const noexcept {
     return regret_order_;
   }
@@ -91,11 +91,13 @@ class SolveKernel {
   double deadline_;
   double payment_;
   bool require_all_gsps_used_;
-  bool reused_cost_orders_ = false;
-  std::vector<double> cost_;           // n x k, row t = task t
-  std::vector<double> time_;           // n x k, row t = task t
-  std::vector<std::uint32_t> order_;   // n x k, row t = task t
+  bool derived_ = false;
+  // n x k, row t = task t; allocated uninitialized and written once.
+  std::unique_ptr<double[]> cost_;
+  std::unique_ptr<double[]> time_;
+  std::unique_ptr<std::uint32_t[]> order_;
   std::vector<double> min_cost_;       // per task
+  std::vector<double> regret_;         // per task
   std::vector<std::size_t> regret_order_;
 };
 

@@ -3,21 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "ip/solve_kernel.hpp"
-
 namespace svo::ip {
-
-CostOrderCache::CostOrderCache(const AssignmentInstance& parent)
-    : k_(parent.num_gsps()), n_(parent.num_tasks()) {
-  detail::require(k_ <= std::numeric_limits<std::uint32_t>::max(),
-                  "CostOrderCache: too many GSPs");
-  order_.assign(n_ * k_, 0);
-  std::vector<double> costs(k_);
-  for (std::size_t t = 0; t < n_; ++t) {
-    for (std::size_t g = 0; g < k_; ++g) costs[g] = parent.cost(g, t);
-    stable_cost_order(costs.data(), k_, order_.data() + t * k_);
-  }
-}
 
 namespace {
 

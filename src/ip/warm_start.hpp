@@ -8,52 +8,27 @@
 ///     by reassigning only the tasks that lived on the removed GSP
 ///     (greedy min-cost insertion + a relocation polish restricted to
 ///     the moved tasks);
-///  2. *combinatorial bounds*: the per-task cost-sorted GSP orders and
-///     per-task minimum costs. Removing a row of the parent instance
-///     preserves the relative order of the surviving rows, so the
-///     restricted orders are obtained by filtering — never re-sorting.
+///  2. its *solve kernel*, derived from the predecessor's by dropping
+///     the removed row (SolveKernel's derivation), which is
+///     bit-identical to building the kernel of the restricted instance.
 ///
 /// Both are hints: a warm incumbent only tightens branch-and-bound
-/// pruning, and the filtered orders are bit-identical to the ones a
-/// cold solve would compute (stable sorts + order-preserving row
-/// restriction), so a warm solve that runs to proof returns the same
-/// status and cost as the cold solve. DESIGN.md "Incremental solve
-/// across iterations" carries the argument.
+/// pruning, and a derived kernel holds exactly what a cold solve would
+/// build, so a warm solve that runs to proof returns the same status
+/// and cost as the cold solve. DESIGN.md "Incremental solve across
+/// iterations" carries the argument.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "ip/assignment.hpp"
+#include "ip/solve_kernel.hpp"
 
 namespace svo::ip {
 
-/// Per-task GSP cost orders of a *parent* instance, computed once and
-/// shared (via shared_ptr) by every descendant solve. Row indices are
-/// parent rows.
-class CostOrderCache {
- public:
-  /// Precompute the stable cost-ascending GSP order of every task
-  /// (stable_cost_order over a contiguous copy of the task's costs).
-  explicit CostOrderCache(const AssignmentInstance& parent);
-
-  [[nodiscard]] std::size_t num_gsps() const noexcept { return k_; }
-  [[nodiscard]] std::size_t num_tasks() const noexcept { return n_; }
-
-  /// Parent rows of task `t`, cost-ascending (stable). Length k.
-  [[nodiscard]] const std::uint32_t* order(std::size_t t) const noexcept {
-    return order_.data() + t * k_;
-  }
-
- private:
-  std::size_t k_ = 0;
-  std::size_t n_ = 0;
-  std::vector<std::uint32_t> order_;  // n x k, row-major per task
-};
-
 /// Warm-start hints for one solve. Everything is optional: an empty
-/// incumbent means "no incumbent hint", a null cost_order means
-/// "recompute the bounds".
+/// incumbent means "no incumbent hint", a null kernel means "build the
+/// kernel from the instance".
 struct WarmStart {
   /// Candidate incumbent: task -> row *of the instance being solved*.
   /// Must satisfy constraints (11)-(13) when non-empty; the payment cap
@@ -65,19 +40,14 @@ struct WarmStart {
   /// Tasks the repair step reassigned to build the incumbent
   /// (telemetry; forwarded into SolveStats::repair_moves).
   std::size_t repair_moves = 0;
-  /// Cost orders of the parent instance this solve's instance was
-  /// restricted from (see CostOrderCache).
-  std::shared_ptr<const CostOrderCache> cost_order;
-  /// rows[r] = parent row of row r of the instance being solved,
-  /// strictly increasing (as AssignmentInstance::restrict_to returns).
-  /// Required (and only used) when cost_order is set.
-  std::vector<std::size_t> rows;
+  /// The solve kernel of the instance being solved, built or derived by
+  /// the caller (game::VoValueFunction keeps the chain). A solver that
+  /// reads kernels uses it only when its shape, deadline, payment and
+  /// (13) flag match the instance; its contents are trusted.
+  std::shared_ptr<const SolveKernel> kernel;
 
   [[nodiscard]] bool has_incumbent() const noexcept {
     return !incumbent.empty();
-  }
-  [[nodiscard]] bool has_bounds() const noexcept {
-    return cost_order != nullptr;
   }
 };
 

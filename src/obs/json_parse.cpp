@@ -118,6 +118,11 @@ JsonValue JsonValue::make_object(
 
 namespace {
 
+/// Deepest array/object nesting accepted. Parsing recurses once per
+/// level, so hostile input ("[[[[...") must not reach the stack limit;
+/// the repository writes at most a handful of levels.
+constexpr std::size_t kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -151,9 +156,9 @@ class Parser {
   JsonValue value() {
     switch (peek()) {
       case '{':
-        return object();
+        return nested(&Parser::object);
       case '[':
-        return array();
+        return nested(&Parser::array);
       case '"':
         return JsonValue::make_string(string());
       case 't':
@@ -168,6 +173,15 @@ class Parser {
       default:
         return number();
     }
+  }
+
+  /// object() or array(), one nesting level deeper.
+  JsonValue nested(JsonValue (Parser::*container)()) {
+    require(depth_ < kMaxDepth, "nesting deeper than 256 levels");
+    ++depth_;
+    JsonValue v = (this->*container)();
+    --depth_;
+    return v;
   }
 
   JsonValue object() {
@@ -336,6 +350,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

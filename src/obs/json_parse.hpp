@@ -85,7 +85,8 @@ class JsonValue {
 };
 
 /// Parse exactly one JSON value (leading/trailing whitespace allowed).
-/// Throws IoError on malformed input, with a byte offset in the message.
+/// Throws IoError on malformed input, with a byte offset in the message;
+/// arrays and objects nested more than 256 deep count as malformed.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// Non-throwing variant: nullopt on malformed input.

@@ -27,7 +27,6 @@
 #include "graph/centrality.hpp"  // IWYU pragma: export
 #include "graph/digraph.hpp"     // IWYU pragma: export
 #include "graph/generators.hpp"  // IWYU pragma: export
-#include "graph/scc.hpp"         // IWYU pragma: export
 
 #include "lp/problem.hpp"  // IWYU pragma: export
 #include "lp/simplex.hpp"  // IWYU pragma: export

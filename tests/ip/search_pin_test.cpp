@@ -121,7 +121,8 @@ struct Expected {
 /// Every B&B solve of the pin grid, labelled. For each (family, k, n,
 /// tightness) a (k+1)-GSP parent is drawn and one seeded row removed;
 /// the k-GSP child is then solved cold, warm (repaired parent incumbent
-/// plus the parent's cost orders) and bounds-only (cost orders alone).
+/// plus the kernel derived from the parent's) and bounds-only (derived
+/// kernel alone).
 std::vector<std::pair<std::string, SolvePin>> bnb_grid() {
   BnbOptions opts;
   opts.max_nodes = 5'000;
@@ -154,8 +155,8 @@ std::vector<std::pair<std::string, SolvePin>> bnb_grid() {
           out.emplace_back(label.str() + " cold", pin_of(solver.solve(child)));
 
           WarmStart bounds;
-          bounds.cost_order = std::make_shared<CostOrderCache>(parent);
-          bounds.rows = rows;
+          bounds.kernel = std::make_shared<const SolveKernel>(
+              SolveKernel(parent), removed);
           WarmStart warm = bounds;
           if (parent_sol.has_assignment()) {
             const RepairResult r = repair_for_removal(

@@ -1,16 +1,14 @@
-/// Tests for ip/warm_start.hpp: the cost-order cache, the
-/// removal-repair step, and the warm-started B&B. The load-bearing
+/// Tests for ip/warm_start.hpp: the removal-repair step and the
+/// warm-started B&B with derived kernels. The load-bearing
 /// property throughout: warm hints never change what an exact solve
 /// returns — status and cost must match the cold solve bit for bit.
 #include "ip/warm_start.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <numeric>
 
 #include "ip/bnb.hpp"
 #include "ip/greedy.hpp"
@@ -27,57 +25,6 @@ AssignmentInstance drop_row(const AssignmentInstance& inst,
   std::vector<bool> keep(inst.num_gsps(), true);
   keep[removed] = false;
   return inst.restrict_to(keep, rows);
-}
-
-TEST(CostOrderCacheTest, MatchesDirectStableSort) {
-  util::Xoshiro256 rng(11);
-  const AssignmentInstance inst = testing::random_instance(7, 13, rng);
-  const CostOrderCache cache(inst);
-  ASSERT_EQ(cache.num_gsps(), 7u);
-  ASSERT_EQ(cache.num_tasks(), 13u);
-  for (std::size_t t = 0; t < inst.num_tasks(); ++t) {
-    std::vector<std::size_t> expect(inst.num_gsps());
-    std::iota(expect.begin(), expect.end(), std::size_t{0});
-    std::stable_sort(expect.begin(), expect.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return inst.cost(a, t) < inst.cost(b, t);
-                     });
-    const std::uint32_t* got = cache.order(t);
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(got[i], expect[i]) << "task " << t << " rank " << i;
-    }
-  }
-}
-
-TEST(CostOrderCacheTest, FilteredOrderEqualsRestrictedSort) {
-  // Filtering the parent order through the surviving rows must equal the
-  // restricted instance's own stable sort — the bit-identical-bounds
-  // argument the warm B&B relies on.
-  util::Xoshiro256 rng(12);
-  const AssignmentInstance inst = testing::random_instance(6, 10, rng);
-  const CostOrderCache cache(inst);
-  for (std::size_t removed = 0; removed < inst.num_gsps(); ++removed) {
-    std::vector<std::size_t> rows;
-    const AssignmentInstance sub = drop_row(inst, removed, &rows);
-    std::vector<std::size_t> child_of(inst.num_gsps(), SIZE_MAX);
-    for (std::size_t r = 0; r < rows.size(); ++r) child_of[rows[r]] = r;
-    for (std::size_t t = 0; t < sub.num_tasks(); ++t) {
-      // Filtered parent order, translated to child rows.
-      std::vector<std::size_t> filtered;
-      for (std::size_t i = 0; i < cache.num_gsps(); ++i) {
-        const std::size_t child = child_of[cache.order(t)[i]];
-        if (child != SIZE_MAX) filtered.push_back(child);
-      }
-      // Direct stable sort on the restricted instance.
-      std::vector<std::size_t> direct(sub.num_gsps());
-      std::iota(direct.begin(), direct.end(), std::size_t{0});
-      std::stable_sort(direct.begin(), direct.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return sub.cost(a, t) < sub.cost(b, t);
-                       });
-      EXPECT_EQ(filtered, direct) << "removed " << removed << " task " << t;
-    }
-  }
 }
 
 TEST(RepairTest, KeepsSurvivorsAndReinsertsOrphans) {
@@ -145,7 +92,7 @@ TEST(WarmBnbTest, WarmEqualsColdOnEveryRemoval) {
         testing::random_instance(5, 11, rng, /*tight=*/seed % 2 == 0);
     const AssignmentSolution parent = solver.solve(inst);
     if (!parent.has_assignment()) continue;
-    const auto cache = std::make_shared<CostOrderCache>(inst);
+    const SolveKernel parent_kernel(inst);
 
     for (std::size_t removed = 0; removed < inst.num_gsps(); ++removed) {
       std::vector<std::size_t> rows;
@@ -154,8 +101,7 @@ TEST(WarmBnbTest, WarmEqualsColdOnEveryRemoval) {
       const AssignmentSolution cold = solver.solve(sub);
 
       WarmStart warm;
-      warm.cost_order = cache;
-      warm.rows = rows;
+      warm.kernel = std::make_shared<const SolveKernel>(parent_kernel, removed);
       const RepairResult r =
           repair_for_removal(sub, rows, parent.assignment, removed);
       if (r.ok) {
@@ -191,12 +137,12 @@ TEST(WarmBnbTest, InfiniteSecondCostKeepsWarmOrderEqualToCold) {
     for (std::size_t t = 0; t < inst.num_tasks(); t += 2) {
       inst.cost(3, t) = std::numeric_limits<double>::infinity();
     }
-    std::vector<std::size_t> rows;
     const AssignmentInstance sub =
-        inst.restrict_to({true, false, false, true}, &rows);
+        inst.restrict_to({true, false, false, true});
+    // Drop GSP 2, then GSP 1 (row 1 of the remaining {0, 1, 3}).
     WarmStart bounds;
-    bounds.cost_order = std::make_shared<CostOrderCache>(inst);
-    bounds.rows = rows;
+    bounds.kernel = std::make_shared<const SolveKernel>(
+        SolveKernel(SolveKernel(inst), 2), 1);
 
     const AssignmentSolution cold = solver.solve(sub);
     const AssignmentSolution warm = solver.solve(sub, bounds);
@@ -238,9 +184,8 @@ TEST(WarmBnbTest, IncoherentHintsAreIgnoredNotFatal) {
   const AssignmentInstance other = testing::random_instance(6, 9, rng);
   const BnbAssignmentSolver solver;
   WarmStart warm;
-  warm.cost_order = std::make_shared<CostOrderCache>(other);  // wrong shape
-  warm.rows = {0, 1};                                         // wrong arity
-  warm.incumbent = Assignment(3, 0);                          // wrong arity
+  warm.kernel = std::make_shared<const SolveKernel>(other);  // wrong shape
+  warm.incumbent = Assignment(3, 0);                         // wrong arity
   warm.incumbent_cost = 1.0;
   const AssignmentSolution hot = solver.solve(inst, warm);
   const AssignmentSolution cold = solver.solve(inst);

@@ -74,6 +74,33 @@ TEST(JsonParseTest, MalformedInputThrowsWithOffset) {
   }
 }
 
+TEST(JsonParseTest, DeepNestingIsRejectedNotFatal) {
+  // Each '[' or '{' is one level of recursion; input from disk must not
+  // be able to overflow the stack.
+  const auto nest = [](std::size_t depth, const char* open,
+                       const char* inner, const char* close) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i) s += open;
+    s += inner;
+    for (std::size_t i = 0; i < depth; ++i) s += close;
+    return s;
+  };
+  EXPECT_NO_THROW((void)parse_json(nest(256, "[", "1", "]")));
+  EXPECT_NO_THROW((void)parse_json(nest(256, "{\"k\":", "1", "}")));
+  try {
+    (void)parse_json(nest(257, "[", "1", "]"));
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("byte 256"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)parse_json(nest(257, "{\"k\":", "1", "}")), IoError);
+  EXPECT_FALSE(try_parse_json(std::string(100'000, '[')).has_value());
+  EXPECT_FALSE(try_parse_json(std::string(1'000'000, '[')).has_value());
+  EXPECT_FALSE(try_parse_json(nest(100'000, "{\"k\":[", "1", "]}"))
+                   .has_value());
+}
+
 TEST(JsonParseTest, AcceptsWriterOutput) {
   // The parser must accept everything our own writer can produce.
   std::ostringstream os;
