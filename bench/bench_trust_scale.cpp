@@ -14,9 +14,10 @@
 /// place, so both operator regimes are covered.
 ///
 /// Emits BENCH_trust_scale.json:
-///  - dense_sparse_identical: at k = 48 the sparse backend reproduces the
-///    dense engine bit for bit — standard, coalition and robust paths
-///    (gated exactly by tools/bench_diff);
+///  - dense_sparse_identical: at k = 48 the engine's CSR iteration
+///    reproduces the dense reference (tests/trust/dense_reference.hpp)
+///    bit for bit — standard, coalition and robust paths (gated exactly
+///    by tools/bench_diff);
 ///  - exact_hit_identical per run: an unchanged graph is answered from
 ///    the cache with the identical result object (exact gate);
 ///  - per-run nnz / fill_pct: structure echoes of the seeded generator
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "tests/trust/dense_reference.hpp"
 #include "trust/reputation.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -45,7 +47,7 @@ using namespace svo;
 constexpr std::size_t kDegree = 8;
 constexpr std::size_t kPerturbedEdges = 12;  // < default warm_max_delta
 constexpr std::size_t kReweightedEdges = 12;
-constexpr std::size_t kIdentityGsps = 48;    // dense-vs-sparse check size
+constexpr std::size_t kIdentityGsps = 48;    // dense-reference check size
 
 struct ScaleRun {
   std::size_t gsps = 0;
@@ -131,33 +133,31 @@ ScaleRun run_scale_point(std::size_t m, std::uint64_t seed) {
   return run;
 }
 
-/// Bit-identity of the two backends over every reputation path, at a
-/// size where the dense engine is still comfortable.
-bool backends_identical(std::uint64_t seed) {
+/// Bit-identity of the engine's CSR iteration with the dense reference
+/// over every reputation path, at a size where the dense loop is still
+/// comfortable.
+bool matches_dense_reference(std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   const trust::TrustGraph g =
       trust::random_trust_graph(kIdentityGsps, 0.25, rng);
   std::vector<std::size_t> coalition;
   for (std::size_t i = 0; i < kIdentityGsps; i += 3) coalition.push_back(i);
 
-  trust::ReputationOptions dense;
-  dense.backend = trust::TrustBackend::Dense;
-  trust::ReputationOptions sparse;
-  sparse.backend = trust::TrustBackend::Sparse;
+  trust::ReputationOptions o;
   const auto same = [](const trust::ReputationResult& a,
                        const trust::ReputationResult& b) {
     return a.scores == b.scores && a.iterations == b.iterations &&
            a.converged == b.converged && a.average == b.average;
   };
-  bool ok =
-      same(trust::ReputationEngine(dense).compute(g),
-           trust::ReputationEngine(sparse).compute(g)) &&
-      same(trust::ReputationEngine(dense).compute(g, coalition),
-           trust::ReputationEngine(sparse).compute(g, coalition));
-  dense.robust.enabled = sparse.robust.enabled = true;
-  dense.robust.fresh = sparse.robust.fresh = {0, 7, 23};
-  ok = ok && same(trust::ReputationEngine(dense).compute(g),
-                  trust::ReputationEngine(sparse).compute(g));
+  using trust::testing::dense_reference;
+  bool ok = same(dense_reference(o, g, nullptr),
+                 trust::ReputationEngine(o).compute(g)) &&
+            same(dense_reference(o, g, &coalition),
+                 trust::ReputationEngine(o).compute(g, coalition));
+  o.robust.enabled = true;
+  o.robust.fresh = {0, 7, 23};
+  ok = ok && same(dense_reference(o, g, nullptr),
+                  trust::ReputationEngine(o).compute(g));
   return ok;
 }
 
@@ -168,9 +168,9 @@ int main() {
       "Scale", "sparse + incremental reputation at 1k-100k GSPs");
   const std::uint64_t seed = util::env_u64_or("SVO_SEED", 20120910);
 
-  const bool identical = backends_identical(seed);
-  std::printf("dense == sparse (k=%zu, all paths): %s\n\n", kIdentityGsps,
-              identical ? "bit-identical" : "MISMATCH");
+  const bool identical = matches_dense_reference(seed);
+  std::printf("engine == dense reference (k=%zu, all paths): %s\n\n",
+              kIdentityGsps, identical ? "bit-identical" : "MISMATCH");
 
   const std::vector<std::size_t> sizes = {1'000, 10'000, 100'000};
   std::vector<ScaleRun> runs;

@@ -63,6 +63,10 @@ struct PowerMethodResult {
 /// otherwise. Rows that are entirely zero ("dangling" GSPs that trust
 /// nobody) are treated as uniform over all nodes, the PageRank convention.
 /// An empty matrix yields an empty result with converged = true.
+///
+/// The reputation engine iterates with sparse_power_method; this dense
+/// loop is the reference the tests check it against, bit for bit, and
+/// what graph/centrality's eigenvector centrality runs.
 [[nodiscard]] PowerMethodResult power_method(const Matrix& a,
                                              const PowerMethodOptions& opts = {});
 

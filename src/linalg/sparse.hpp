@@ -1,6 +1,6 @@
 /// \file sparse.hpp
 /// Compressed-sparse-row (CSR) matrix and the sparse power iteration the
-/// internet-scale reputation engine runs on (DESIGN.md §4i).
+/// reputation engine runs on at every size (DESIGN.md §4i).
 ///
 /// The paper's trust matrices are 16x16 and dense; the ROADMAP regime is
 /// 100k-1M participants whose trust graphs are overwhelmingly sparse
@@ -14,8 +14,8 @@
 ///    A and transposes it once, storing A^T's rows in ascending length
 ///    order; iterating applies it in *gather* form — output j is the
 ///    i-ascending dot of A^T's row j with x — which makes the serial and
-///    pooled paths bit-identical to each other AND to the dense engine's
-///    summation order. Dense-vs-sparse equivalence is therefore exact,
+///    pooled paths bit-identical to each other AND to the dense
+///    reference's summation order. Dense-vs-sparse equivalence is exact,
 ///    not approximate (tests/trust/sparse_reputation_test.cpp), and the
 ///    pooled path is deterministic for every thread count. A kept
 ///    operator can have rows re-weighted in place, so a caller iterating
@@ -178,7 +178,7 @@ class GatherOperator {
   /// One step of the dangling-patched, damped operator:
   ///   y_j = (1-d) * (sum_i a_ij x_i + m / n) + d / n,
   /// m the mass x puts on dangling rows. Each sum runs i-ascending, as in
-  /// linalg::power_method, so every y_j has the dense engine's bits at
+  /// linalg::power_method, so every y_j has the dense reference's bits at
   /// any `threads`; above a size threshold the outputs are split over the
   /// pool. y is overwritten. Throws DimensionMismatch unless x and y
   /// have size().
@@ -213,7 +213,7 @@ class GatherOperator {
 /// Sparse twin of linalg::power_method: dominant *left* eigenvector of
 /// the matrix `op` was prepared from, by normalized power iteration, with
 /// the same dangling-row and damping conventions. Bit-identical to the
-/// dense engine on the same matrix (see the file comment), at any
+/// dense reference on the same matrix (see the file comment), at any
 /// `opts.threads`.
 ///
 /// `warm_start`, when non-empty, must have size op.size(), be finite and

@@ -105,35 +105,6 @@ std::vector<TraceEvent> load_trace_file(const std::string& path) {
 
 // --- span aggregates -----------------------------------------------------
 
-std::vector<SpanStats> aggregate_spans(const std::vector<TraceEvent>& events) {
-  std::unordered_map<std::string, std::vector<double>> durations;
-  for (const TraceEvent& ev : events) {
-    if (ev.kind != EventKind::Complete) continue;
-    durations[ev.name].push_back(static_cast<double>(ev.duration_us));
-  }
-  std::vector<SpanStats> stats;
-  stats.reserve(durations.size());
-  for (auto& [name, samples] : durations) {
-    SpanStats s;
-    s.name = name;
-    s.count = samples.size();
-    for (const double d : samples) {
-      s.total_us += d;
-      s.max_us = std::max(s.max_us, d);
-    }
-    s.mean_us = s.total_us / static_cast<double>(s.count);
-    s.p50_us = util::percentile(samples, 0.5);
-    s.p95_us = util::percentile(std::move(samples), 0.95);
-    stats.push_back(std::move(s));
-  }
-  std::sort(stats.begin(), stats.end(),
-            [](const SpanStats& a, const SpanStats& b) {
-              if (a.total_us != b.total_us) return a.total_us > b.total_us;
-              return a.name < b.name;
-            });
-  return stats;
-}
-
 namespace {
 
 /// Index of events carrying a causal id.
@@ -155,6 +126,30 @@ EventIndex index_by_id(const std::vector<TraceEvent>& events) {
 /// Guard for corrupt traces: parent chains longer than this are cycles.
 constexpr std::size_t kMaxDepth = 256;
 
+/// Summed duration of each span's direct child spans, keyed by the
+/// parent span's id: what separates a span's self time from its total.
+using ChildTime = std::unordered_map<std::uint64_t, std::uint64_t>;
+
+ChildTime child_span_us(const std::vector<TraceEvent>& events,
+                        const EventIndex& byid) {
+  ChildTime child_us;
+  for (const TraceEvent& ev : events) {
+    if (ev.kind != EventKind::Complete || ev.parent == 0) continue;
+    const auto it = byid.find(ev.parent);
+    if (it != byid.end() && it->second->kind == EventKind::Complete) {
+      child_us[ev.parent] += ev.duration_us;
+    }
+  }
+  return child_us;
+}
+
+/// A span's duration minus its direct children's, floored at 0.
+std::uint64_t self_us(const TraceEvent& ev, const ChildTime& child_us) {
+  const auto it = child_us.find(ev.id);
+  if (it == child_us.end()) return ev.duration_us;
+  return ev.duration_us - std::min(ev.duration_us, it->second);
+}
+
 double arg_or(const TraceEvent& ev, std::string_view key, double fb) {
   for (const auto& [k, v] : ev.args) {
     if (k == key) return v;
@@ -164,18 +159,48 @@ double arg_or(const TraceEvent& ev, std::string_view key, double fb) {
 
 }  // namespace
 
+std::vector<SpanStats> aggregate_spans(const std::vector<TraceEvent>& events) {
+  const ChildTime child_us = child_span_us(events, index_by_id(events));
+  struct Samples {
+    std::vector<double> durations;
+    double self_us = 0.0;
+  };
+  std::unordered_map<std::string, Samples> by_name;
+  for (const TraceEvent& ev : events) {
+    if (ev.kind != EventKind::Complete) continue;
+    Samples& named = by_name[ev.name];
+    named.durations.push_back(static_cast<double>(ev.duration_us));
+    named.self_us += static_cast<double>(self_us(ev, child_us));
+  }
+  std::vector<SpanStats> stats;
+  stats.reserve(by_name.size());
+  for (auto& [name, named] : by_name) {
+    std::vector<double>& samples = named.durations;
+    SpanStats s;
+    s.name = name;
+    s.count = samples.size();
+    s.self_us = named.self_us;
+    for (const double d : samples) {
+      s.total_us += d;
+      s.max_us = std::max(s.max_us, d);
+    }
+    s.mean_us = s.total_us / static_cast<double>(s.count);
+    s.p50_us = util::percentile(samples, 0.5);
+    s.p95_us = util::percentile(std::move(samples), 0.95);
+    stats.push_back(std::move(s));
+  }
+  std::sort(stats.begin(), stats.end(),
+            [](const SpanStats& a, const SpanStats& b) {
+              if (a.total_us != b.total_us) return a.total_us > b.total_us;
+              return a.name < b.name;
+            });
+  return stats;
+}
+
 std::vector<CollapsedStack> collapsed_stacks(
     const std::vector<TraceEvent>& events) {
   const EventIndex byid = index_by_id(events);
-  // Child span time per parent span id, to compute self time.
-  std::unordered_map<std::uint64_t, std::uint64_t> child_us;
-  for (const TraceEvent& ev : events) {
-    if (ev.kind != EventKind::Complete || ev.parent == 0) continue;
-    const auto it = byid.find(ev.parent);
-    if (it != byid.end() && it->second->kind == EventKind::Complete) {
-      child_us[ev.parent] += ev.duration_us;
-    }
-  }
+  const ChildTime child_us = child_span_us(events, byid);
   std::map<std::string, std::uint64_t> folded;
   for (const TraceEvent& ev : events) {
     if (ev.kind != EventKind::Complete) continue;
@@ -195,11 +220,7 @@ std::vector<CollapsedStack> collapsed_stacks(
       if (!stack.empty()) stack.push_back(';');
       stack += (*it)->name;
     }
-    std::uint64_t self = ev.duration_us;
-    if (const auto it = child_us.find(ev.id); it != child_us.end()) {
-      self -= std::min(self, it->second);
-    }
-    folded[stack] += self;
+    folded[stack] += self_us(ev, child_us);
   }
   std::vector<CollapsedStack> out;
   out.reserve(folded.size());
@@ -326,15 +347,16 @@ void write_span_table(std::ostream& os, const std::vector<SpanStats>& stats,
                       std::size_t top_k) {
   os << "  " << std::left << std::setw(36) << "span" << std::right
      << std::setw(8) << "count" << std::setw(12) << "total_ms"
-     << std::setw(10) << "p50_us" << std::setw(10) << "p95_us"
-     << std::setw(10) << "max_us" << '\n';
+     << std::setw(12) << "self_ms" << std::setw(10) << "p50_us"
+     << std::setw(10) << "p95_us" << std::setw(10) << "max_us" << '\n';
   const std::size_t n = std::min(top_k, stats.size());
   for (std::size_t i = 0; i < n; ++i) {
     const SpanStats& s = stats[i];
     os << "  " << std::left << std::setw(36) << s.name << std::right
        << std::setw(8) << s.count << std::setw(12) << std::fixed
-       << std::setprecision(3) << s.total_us / 1000.0 << std::setw(10)
-       << std::setprecision(1) << s.p50_us << std::setw(10) << s.p95_us
+       << std::setprecision(3) << s.total_us / 1000.0 << std::setw(12)
+       << s.self_us / 1000.0 << std::setw(10) << std::setprecision(1)
+       << s.p50_us << std::setw(10) << s.p95_us
        << std::setw(10) << s.max_us << '\n';
   }
   if (stats.size() > n) {

@@ -5,8 +5,8 @@
 /// obs::json_parse) and answers the operator questions the raw files
 /// cannot:
 ///
-///  * per-span aggregates — count, total, p50/p95 (util::percentile) —
-///    and the top-k hot spans of a run;
+///  * per-span aggregates — count, total, self time, p50/p95
+///    (util::percentile) — and the top-k hot spans of a run;
 ///  * collapsed-stack output (one "root;child;leaf self_us" line per
 ///    distinct stack) consumable by flamegraph.pl / speedscope;
 ///  * the causal message DAG of a trusted-party protocol run —
@@ -56,6 +56,9 @@ struct SpanStats {
   std::string name;
   std::size_t count = 0;
   double total_us = 0.0;
+  /// Summed self time: each span's duration minus its direct child
+  /// spans' (floored at 0), as in collapsed_stacks.
+  double self_us = 0.0;
   double mean_us = 0.0;
   double p50_us = 0.0;
   double p95_us = 0.0;

@@ -135,12 +135,6 @@ struct RequestState {
   std::size_t id = 0;
   ip::AssignmentInstance instance;
   trust::TrustGraph trust{0};
-  /// Per-request incremental reputation memo (standard pipeline only).
-  /// Within one request the trust graph is fixed, so repeated attempts
-  /// exact-hit — bit-identical to recomputing, preserving the churn-off
-  /// and replay guarantees; across churn mutations a small edge delta
-  /// warm-starts the sparse solve instead of cold-starting it.
-  trust::ReputationCache reputation_cache;
   /// The request's private mechanism stream; with churn off this is
   /// exactly the scenario's tvof/rvof stream, consumed exactly once.
   util::Xoshiro256 rng{0};
@@ -251,12 +245,6 @@ struct Engine {
   core::MechanismResult run_mechanism(RequestState& q,
                                       game::Coalition candidates) {
     core::MechanismConfig config = opts.base.mechanism;
-    // Thread the request's incremental cache into the standard pipeline
-    // (the robust pipeline's per-round fresh list forbids memoization —
-    // ReputationOptions::validate() enforces the split).
-    if (!config.reputation.robust.enabled) {
-      config.reputation.cache = &q.reputation_cache;
-    }
     std::vector<std::size_t> fresh = ledger.fresh(formation_counter);
     if (!fresh.empty()) {
       auto& list = config.reputation.robust.fresh;

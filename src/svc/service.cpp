@@ -247,8 +247,8 @@ FormationService::FormationService(const core::VoFormationMechanism& mechanism,
       pool_(options_.threads == 0 ? options_.shards : options_.threads) {
   // Shard ticks run the mechanism concurrently; ReputationCache is
   // single-threaded by contract, so a cache-carrying mechanism would
-  // race on every full-graph compute. Per-thread incremental reuse
-  // belongs in sim::StreamEngine's per-request caches, not here.
+  // race on every full-graph compute. A cache belongs to one computing
+  // thread (DESIGN.md §4i), never to a shared mechanism.
   svo::detail::require(
       mechanism.config().reputation.cache == nullptr,
       "FormationService: mechanism must not carry a ReputationCache "

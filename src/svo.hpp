@@ -52,7 +52,6 @@
 #include "workload/instance_gen.hpp"  // IWYU pragma: export
 #include "workload/params.hpp"        // IWYU pragma: export
 
-#include "trust/beta.hpp"         // IWYU pragma: export
 #include "trust/decay.hpp"        // IWYU pragma: export
 #include "trust/hierarchy.hpp"    // IWYU pragma: export
 #include "trust/propagation.hpp"  // IWYU pragma: export

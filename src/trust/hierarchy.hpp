@@ -100,8 +100,7 @@ struct ClusteredResult {
 /// conquer path for very large populations (DESIGN.md §4i): GSPs are
 /// partitioned by `assignment` (cluster id per GSP, ids in
 /// [0, max_id]); each non-empty cluster is scored on its induced
-/// subgraph (the engine picks dense or CSR per cluster size), then a
-/// cluster-level TrustGraph — edge (a, b) summing all trust from
+/// subgraph, then a cluster-level TrustGraph — edge (a, b) summing all trust from
 /// cluster a's members to cluster b's — is solved the same way and the
 /// two levels multiply. Empty clusters are legal and score 0; a
 /// single-GSP cluster scores its lone member 1 within the cluster;

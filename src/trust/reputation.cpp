@@ -31,6 +31,16 @@ void note_reputation(obs::Span& span, const char* mode,
   if (!r.converged) m.counter("trust.reputation.nonconverged").add();
 }
 
+/// The engine's view of one power iteration, with eq. (7)'s average.
+ReputationResult to_result(const linalg::PowerMethodResult& pm) {
+  ReputationResult r;
+  r.scores = pm.eigenvector;
+  r.iterations = pm.iterations;
+  r.converged = pm.converged;
+  r.average = average_reputation(r.scores);
+  return r;
+}
+
 /// Cache fingerprint: two power-option sets produce interchangeable
 /// results only when every knob matches (threads included — results are
 /// identical across thread counts, but keeping the fingerprint strict
@@ -52,41 +62,11 @@ void ReputationOptions::validate() const {
                   "round, so memoization would be incorrect");
 }
 
-bool ReputationEngine::use_sparse(std::size_t n) const noexcept {
-  switch (opts_.backend) {
-    case TrustBackend::Dense:
-      return false;
-    case TrustBackend::Sparse:
-      return true;
-    case TrustBackend::Auto:
-      break;
-  }
-  return n > opts_.sparse_threshold;
-}
-
-ReputationResult ReputationEngine::from_matrix(const linalg::Matrix& a) const {
-  obs::Span span("trust.reputation.compute", "trust");
-  ReputationResult r;
-  const linalg::PowerMethodResult pm = linalg::power_method(a, opts_.power);
-  r.scores = pm.eigenvector;
-  r.iterations = pm.iterations;
-  r.converged = pm.converged;
-  r.average = average_reputation(r.scores);
-  note_reputation(span, "standard", r);
-  return r;
-}
-
 ReputationResult ReputationEngine::from_sparse(
     const linalg::SparseMatrix& a) const {
   obs::Span span("trust.reputation.compute", "trust");
-  ReputationResult r;
-  const linalg::PowerMethodResult pm =
-      linalg::sparse_power_method(a, opts_.power);
-  r.scores = pm.eigenvector;
-  r.iterations = pm.iterations;
-  r.converged = pm.converged;
-  r.average = average_reputation(r.scores);
-  note_reputation(span, "sparse", r);
+  ReputationResult r = to_result(linalg::sparse_power_method(a, opts_.power));
+  note_reputation(span, "standard", r);
   return r;
 }
 
@@ -102,7 +82,7 @@ ReputationResult ReputationEngine::full_sparse(const TrustGraph& g) const {
     // Exact reuse: the compute is deterministic, so returning the memo
     // is bit-identical to re-running it.
     ++cache->stats_.exact_hits;
-    note_reputation(span, "sparse-cached", cache->result_, /*iterated=*/false);
+    note_reputation(span, "cached", cache->result_, /*iterated=*/false);
     if (span.active()) m.counter("trust.reputation.cache_exact_hits").add();
     return cache->result_;
   }
@@ -141,11 +121,7 @@ ReputationResult ReputationEngine::full_sparse(const TrustGraph& g) const {
 
   const linalg::PowerMethodResult pm =
       linalg::sparse_power_method(cache->operator_, opts_.power, warm);
-  ReputationResult r;
-  r.scores = pm.eigenvector;
-  r.iterations = pm.iterations;
-  r.converged = pm.converged;
-  r.average = average_reputation(r.scores);
+  ReputationResult r = to_result(pm);
 
   if (pm.warm_started) {
     ++cache->stats_.warm_starts;
@@ -168,7 +144,7 @@ ReputationResult ReputationEngine::full_sparse(const TrustGraph& g) const {
   cache->graph_version_ = g.version();
   cache->power_ = opts_.power;
   cache->result_ = r;
-  note_reputation(span, pm.warm_started ? "sparse-warm" : "sparse", r);
+  note_reputation(span, pm.warm_started ? "warm" : "standard", r);
   return r;
 }
 
@@ -176,15 +152,10 @@ ReputationResult ReputationEngine::compute_robust(
     const TrustGraph& g, const std::vector<std::size_t>& members) const {
   obs::Span span("trust.reputation.compute", "trust");
   opts_.robust.validate();
-  const std::size_t c = members.size();
-  const bool sparse = use_sparse(c);
-
-  std::vector<double> weights(c, 1.0);
+  std::vector<double> weights(members.size(), 1.0);
   if (opts_.robust.credibility_weighting) {
-    weights = sparse ? rater_credibility(g.raw_sparse(members),
-                                         opts_.robust.credibility_strength)
-                     : rater_credibility(g, members,
-                                         opts_.robust.credibility_strength);
+    weights = rater_credibility(g.raw_sparse(members),
+                                opts_.robust.credibility_strength);
   }
   // Quarantined (fresh) identities rate — and are scored — at a
   // discounted prior. `fresh` holds global GSP ids; remap to coalition
@@ -200,32 +171,22 @@ ReputationResult ReputationEngine::compute_robust(
     weights[p] *= opts_.robust.quarantine_prior;
   }
 
-  const linalg::PowerMethodResult pm =
-      sparse ? robust_power_method(g.normalized_sparse(members), weights,
-                                   opts_.power, opts_.robust.aggregation,
-                                   opts_.robust.trim_fraction,
-                                   opts_.robust.mom_buckets)
-             : robust_power_method(g.normalized_matrix(members), weights,
-                                   opts_.power, opts_.robust.aggregation,
-                                   opts_.robust.trim_fraction,
-                                   opts_.robust.mom_buckets);
-
-  ReputationResult r;
-  r.scores = pm.eigenvector;
-  r.iterations = pm.iterations;
-  r.converged = pm.converged;
-  for (const std::size_t p : fresh_pos) {
-    r.scores[p] *= opts_.robust.quarantine_prior;
-  }
+  ReputationResult r = to_result(robust_power_method(
+      g.normalized_sparse(members), weights, opts_.power,
+      opts_.robust.aggregation, opts_.robust.trim_fraction,
+      opts_.robust.mom_buckets));
   if (!fresh_pos.empty()) {
+    for (const std::size_t p : fresh_pos) {
+      r.scores[p] *= opts_.robust.quarantine_prior;
+    }
     double sum = 0.0;
     for (const double s : r.scores) sum += s;
     if (sum > 0.0) {
       for (double& s : r.scores) s /= sum;
     }
+    r.average = average_reputation(r.scores);
   }
-  r.average = average_reputation(r.scores);
-  note_reputation(span, sparse ? "robust-sparse" : "robust", r);
+  note_reputation(span, "robust", r);
   return r;
 }
 
@@ -236,8 +197,7 @@ ReputationResult ReputationEngine::compute(const TrustGraph& g) const {
     std::iota(all.begin(), all.end(), std::size_t{0});
     return compute_robust(g, all);
   }
-  if (use_sparse(g.size())) return full_sparse(g);
-  return from_matrix(g.normalized_matrix());
+  return full_sparse(g);
 }
 
 ReputationResult ReputationEngine::compute(
@@ -249,10 +209,7 @@ ReputationResult ReputationEngine::compute(
     return r;
   }
   if (opts_.robust.enabled) return compute_robust(g, members);
-  if (use_sparse(members.size())) {
-    return from_sparse(g.normalized_sparse(members));
-  }
-  return from_matrix(g.normalized_matrix(members));
+  return from_sparse(g.normalized_sparse(members));
 }
 
 double average_reputation(const std::vector<double>& scores) {

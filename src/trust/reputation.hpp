@@ -4,15 +4,14 @@
 /// trust matrix, found by power iteration; plus the average global
 /// reputation of eq. (7) used as the VO-level metric.
 ///
-/// Storage-polymorphic since DESIGN.md §4i: small coalitions solve on
-/// the dense matrix exactly as the paper does; above a threshold the
-/// engine switches to the CSR backend, whose gather-form iteration is
-/// bit-identical to the dense one — the backend is an implementation
-/// detail, never a semantic knob. An optional ReputationCache makes
-/// repeated full-graph computes incremental: unchanged graphs return the
-/// cached result outright, re-weighted rows are patched into the kept
-/// iteration operator instead of rebuilding it, and small edge deltas
-/// warm-start the iteration from the previous eigenvector.
+/// Every compute iterates on CSR (DESIGN.md §4i), whatever the coalition
+/// size; the paper's dense k x k loop survives only as the reference the
+/// tests check the engine against, bit for bit. An optional
+/// ReputationCache makes repeated full-graph computes incremental:
+/// unchanged graphs return the cached result outright, re-weighted rows
+/// are patched into the kept iteration operator instead of rebuilding
+/// it, and small edge deltas warm-start the iteration from the previous
+/// eigenvector.
 #pragma once
 
 #include <cstddef>
@@ -38,17 +37,6 @@ struct ReputationResult {
   double average = 0.0;
   std::size_t iterations = 0;
   bool converged = false;
-};
-
-/// Which matrix storage the engine solves on.
-enum class TrustBackend {
-  /// Dense at or below ReputationOptions::sparse_threshold, CSR above —
-  /// the default; both sides produce bit-identical results.
-  Auto,
-  /// Always dense (the paper's literal layout; O(n^2) memory).
-  Dense,
-  /// Always CSR (O(nnz) memory; required beyond ~10k participants).
-  Sparse,
 };
 
 /// Incremental state of full-graph standard (non-robust) computes: the
@@ -137,11 +125,6 @@ class ReputationCache {
 struct ReputationOptions {
   linalg::PowerMethodOptions power;
   RobustOptions robust;
-  /// Matrix storage selection (see TrustBackend).
-  TrustBackend backend = TrustBackend::Auto;
-  /// Auto switches to CSR strictly above this solved dimension. 64 keeps
-  /// every paper-scale experiment (k <= 16) on the literal dense path.
-  std::size_t sparse_threshold = 64;
   /// Optional incremental cache for full-graph standard computes; the
   /// caller owns it and must not share it across threads. Must be null
   /// when `robust.enabled` (the robust pipeline's quarantine list varies
@@ -175,17 +158,13 @@ class ReputationEngine {
   }
 
  private:
-  /// True when dimension n solves on the CSR backend.
-  [[nodiscard]] bool use_sparse(std::size_t n) const noexcept;
-  [[nodiscard]] ReputationResult from_matrix(const linalg::Matrix& a) const;
-  /// Standard sparse solve of a coalition CSR (no cache).
+  /// Standard solve of a normalized CSR (no cache).
   [[nodiscard]] ReputationResult from_sparse(const linalg::SparseMatrix& a) const;
-  /// Standard full-graph sparse solve with cache/warm-start handling.
+  /// Standard full-graph solve with cache/warm-start handling.
   [[nodiscard]] ReputationResult full_sparse(const TrustGraph& g) const;
   /// Defended pipeline (opts_.robust.enabled): credibility-weighted,
   /// outlier-resistant power iteration plus quarantine of fresh
   /// identities. `members` are original GSP ids, strictly increasing.
-  /// Dense and sparse flavors are bit-identical.
   [[nodiscard]] ReputationResult compute_robust(
       const TrustGraph& g, const std::vector<std::size_t>& members) const;
 

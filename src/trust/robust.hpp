@@ -73,14 +73,16 @@ struct RobustOptions {
 /// Median consensus opinion about each of `members` (original GSP ids,
 /// strictly increasing): median over the *clamped-to-[0,1]* direct
 /// reports u_ij of the other members. Entries with no incoming report
-/// are NaN ("no consensus"); callers must skip them.
+/// are NaN ("no consensus"); callers must skip them. Dense reference:
+/// the engine runs the CSR overload below, and the tests check it
+/// against this one.
 [[nodiscard]] std::vector<double> consensus_opinions(
     const TrustGraph& g, const std::vector<std::size_t>& members);
 
 /// Credibility weight per member-as-rater in (0, 1]:
 /// exp(-strength * mean_j |clamp(u_ij) - consensus_j|) over the rater's
 /// in-coalition reports with a defined consensus; raters with no such
-/// reports keep weight 1.
+/// reports keep weight 1. Dense reference for the CSR overload below.
 [[nodiscard]] std::vector<double> rater_credibility(
     const TrustGraph& g, const std::vector<std::size_t>& members,
     double strength);
@@ -90,25 +92,26 @@ struct RobustOptions {
 /// dangling rows spread uniformly, damping, L1-normalized iterates,
 /// epsilon on successive-iterate L1 distance); with unit weights and
 /// RowAggregation::Sum it computes the same fixed point. `weights` must
-/// be positive and <= 1, one per row of `a`.
+/// be positive and <= 1, one per row of `a`. Dense reference for the CSR
+/// overload below, which is what the engine runs.
 [[nodiscard]] linalg::PowerMethodResult robust_power_method(
     const linalg::Matrix& a, const std::vector<double>& weights,
     const linalg::PowerMethodOptions& power, RowAggregation aggregation,
     double trim_fraction, std::size_t mom_buckets);
 
-/// Sparse twin of consensus_opinions: per-trustee median over the
-/// clamped stored reports of `raw` = TrustGraph::raw_sparse(members).
-/// Bit-identical to the dense overload on the same coalition — stored
+/// CSR form of consensus_opinions: per-trustee median over the clamped
+/// stored reports of `raw` = TrustGraph::raw_sparse(members).
+/// Bit-identical to the dense reference on the same coalition — stored
 /// entries are exactly the u > 0 reports, gathered in the same
 /// rater-ascending order (DESIGN.md §4i).
 [[nodiscard]] std::vector<double> consensus_opinions(
     const linalg::SparseMatrix& raw);
 
-/// Sparse twin of rater_credibility; same bit-identity contract.
+/// CSR form of rater_credibility; same bit-identity contract.
 [[nodiscard]] std::vector<double> rater_credibility(
     const linalg::SparseMatrix& raw, double strength);
 
-/// Sparse twin of robust_power_method over the normalized coalition CSR.
+/// CSR form of robust_power_method over the normalized coalition CSR.
 /// Contributions for trustee j are gathered from the transposed matrix's
 /// row j in rater-ascending order — the dense loop's exact order — and
 /// zero-valued contributions (x_i == 0) are *kept*, because they

@@ -18,10 +18,13 @@ std::uint64_t TrustGraph::next_uid() noexcept {
 TrustGraph::TrustGraph(graph::Digraph g) : graph_(std::move(g)) {
   for (std::size_t i = 0; i < graph_.vertex_count(); ++i) {
     for (const graph::Edge& e : graph_.out_edges(i)) {
-      if (!std::isfinite(e.weight)) {
+      const char* problem = e.to == i ? "is self-trust, which is not modeled"
+                            : std::isfinite(e.weight) ? nullptr
+                                                      : "must be finite";
+      if (problem != nullptr) {
         throw InvalidArgument("TrustGraph: trust on edge (" +
                               std::to_string(i) + ", " + std::to_string(e.to) +
-                              ") must be finite");
+                              ") " + problem);
       }
     }
   }
@@ -148,7 +151,6 @@ void TrustGraph::append_row(linalg::SparseMatrix::RowBuilder& out,
   detail::require(gi < size(), "TrustGraph: GSP index out of range");
   row.clear();
   for (const graph::Edge& e : graph_.out_edges(gi)) {
-    if (e.to == gi) continue;  // self-trust is not modeled
     std::size_t lj = e.to;
     if (members != nullptr) {
       const auto it = std::lower_bound(members->begin(), members->end(), e.to);

@@ -9,11 +9,11 @@
 /// Algorithm 2 operates on the induced subgraph (C, E_C).
 ///
 /// Beyond the 16-GSP paper setup, the graph carries the bookkeeping the
-/// sparse/incremental reputation engine needs at 100k-1M participants
+/// incremental reputation engine needs at 100k-1M participants
 /// (DESIGN.md §4i): a process-unique identity (`uid`), a mutation
 /// counter (`version`), a bounded log of recently changed edges
-/// (`edges_changed_since`), and CSR exports whose values are bit-equal
-/// to the dense matrices.
+/// (`edges_changed_since`), and the CSR exports the engine iterates on,
+/// whose values are bit-equal to the paper's dense matrices.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +37,9 @@ class TrustGraph {
   explicit TrustGraph(std::size_t m) : graph_(m) {}
 
   /// Adopt an existing digraph (e.g. an Erdős–Rényi draw) as trust.
-  /// Throws InvalidArgument, naming the edge, when a weight is not
-  /// finite: like set_trust, a TrustGraph only ever holds finite trust.
+  /// Throws InvalidArgument, naming the edge, on a self-loop or a weight
+  /// that is not finite: like set_trust, a TrustGraph only ever holds
+  /// finite trust between distinct GSPs.
   explicit TrustGraph(graph::Digraph g);
 
   /// Copies are *new* graphs: same content and version, fresh `uid()`,
@@ -86,15 +87,18 @@ class TrustGraph {
   /// Underlying digraph (read-only).
   [[nodiscard]] const graph::Digraph& graph() const noexcept { return graph_; }
 
-  /// Normalized trust matrix A over all GSPs (eq. (1)). Rows of GSPs with
-  /// no outgoing trust are all-zero ("dangling"; the reputation engine
-  /// patches them to uniform).
+  /// Normalized trust matrix A over all GSPs (eq. (1)), in the paper's
+  /// dense layout. The reputation engine iterates on normalized_sparse();
+  /// this is the reference the tests check that export against. Rows of
+  /// GSPs with no outgoing trust are all-zero ("dangling"; the power
+  /// iteration patches them to uniform).
   [[nodiscard]] linalg::Matrix normalized_matrix() const;
 
   /// Normalized trust matrix A_C of the subgraph induced by `members`
   /// (original GSP indices, strictly increasing). Normalization happens
   /// *inside* the coalition: opinions of outsiders are excluded, exactly
-  /// as TVOF requires (Section III-A).
+  /// as TVOF requires (Section III-A). Dense reference for
+  /// normalized_sparse(members).
   [[nodiscard]] linalg::Matrix normalized_matrix(
       const std::vector<std::size_t>& members) const;
 
@@ -137,8 +141,8 @@ class TrustGraph {
   void note_change(std::size_t i, std::size_t j);
   /// The one row routine behind every CSR export: appends GSP gi's
   /// out-trust as `out`'s next row — columns are positions in `members`
-  /// (all GSPs when null), outsiders and self-trust skipped, values
-  /// row-normalized (eq. (1)) when `normalized`.
+  /// (all GSPs when null), outsiders skipped, values row-normalized
+  /// (eq. (1)) when `normalized`.
   void append_row(linalg::SparseMatrix::RowBuilder& out, std::size_t gi,
                   const std::vector<std::size_t>* members, bool normalized,
                   RowScratch& row) const;

@@ -291,6 +291,17 @@ TEST(AnalysisCollapsedTest, SelfTimeExcludesChildSpans) {
   EXPECT_EQ(stacks[1].self_us, 45u);  // (30 - 5) + 20
   EXPECT_EQ(stacks[2].stack, "root;child;leaf");
   EXPECT_EQ(stacks[2].self_us, 5u);
+
+  // The hot-span table's self times come from the same pass, per name.
+  const std::vector<analysis::SpanStats> spans =
+      analysis::aggregate_spans(events);
+  ASSERT_EQ(spans.size(), 3u);  // sorted by total desc
+  EXPECT_EQ(spans[0].name, "root");
+  EXPECT_DOUBLE_EQ(spans[0].self_us, 50.0);
+  EXPECT_EQ(spans[1].name, "child");
+  EXPECT_DOUBLE_EQ(spans[1].self_us, 45.0);
+  EXPECT_EQ(spans[2].name, "leaf");
+  EXPECT_DOUBLE_EQ(spans[2].self_us, 5.0);
 }
 
 // --------------------------------------------------- protocol causal DAG

@@ -45,6 +45,26 @@ TEST(TrustGraphValidationTest, AdoptedDigraphWithInfiniteTrustRejected) {
   EXPECT_NO_THROW(TrustGraph{d});
 }
 
+TEST(TrustGraphValidationTest, AdoptedDigraphWithSelfLoopRejected) {
+  // set_trust refuses self-trust; adopting a digraph that holds some
+  // must fail too, or the self-loop would count in one matrix export and
+  // be skipped by another.
+  graph::Digraph d(3);
+  d.set_edge(0, 0, 1.0);
+  d.set_edge(0, 1, 1.0);
+  d.set_edge(1, 2, 1.0);
+  d.set_edge(2, 0, 1.0);
+  try {
+    const TrustGraph g(d);
+    ADD_FAILURE() << "adopted a self-loop";
+  } catch (const InvalidArgument& e) {  // names the offending edge
+    EXPECT_NE(std::string(e.what()).find("(0, 0)"), std::string::npos)
+        << e.what();
+  }
+  ASSERT_TRUE(d.remove_edge(0, 0));
+  EXPECT_NO_THROW(TrustGraph{d});
+}
+
 TEST(TrustGraphValidationTest, RejectedWriteDoesNotClobberExistingEdge) {
   TrustGraph g(2);
   g.set_trust(0, 1, 0.7);

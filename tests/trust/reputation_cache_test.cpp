@@ -310,7 +310,6 @@ TEST(ReputationCacheTest, ReweightThatZeroesEntriesRebuilds) {
   const double huge = std::numeric_limits<double>::max();
   ReputationCache cache;
   ReputationOptions o;
-  o.backend = TrustBackend::Sparse;
   o.cache = &cache;
   o.warm_max_delta = 0;
   ReputationOptions plain = o;
@@ -334,6 +333,28 @@ TEST(ReputationCacheTest, ReweightThatZeroesEntriesRebuilds) {
   EXPECT_EQ(operator_work(o, g), kBuild);
   EXPECT_EQ(ReputationEngine(o).compute(g).scores,
             ReputationEngine(plain).compute(g).scores);
+}
+
+/// Every size solves on the CSR operator, so the cache serves
+/// paper-scale graphs as well: repeating a 16-GSP compute is an exact
+/// hit, bit-equal to a compute without a cache.
+TEST(ReputationCacheTest, PaperScaleRepeatIsAnExactHit) {
+  util::Xoshiro256 rng(16);
+  const TrustGraph g = random_trust_graph(16, 0.4, rng);
+  ReputationCache cache;
+  ReputationOptions o;
+  o.cache = &cache;
+  const ReputationEngine engine(o);
+
+  (void)engine.compute(g);
+  const ReputationResult again = engine.compute(g);
+  EXPECT_EQ(cache.stats().cold_starts, 1u);
+  EXPECT_EQ(cache.stats().exact_hits, 1u);
+  const ReputationResult plain = ReputationEngine().compute(g);
+  EXPECT_EQ(again.scores, plain.scores);
+  EXPECT_EQ(again.iterations, plain.iterations);
+  EXPECT_EQ(again.converged, plain.converged);
+  EXPECT_EQ(again.average, plain.average);
 }
 
 /// RAII: record telemetry for one test, then leave the recorder off and

@@ -13,10 +13,12 @@
 #   tools/run_sanitizers.sh -R FaultInjector
 #
 # --tsan uses the `tsan` preset (build-tsan/ tree, -fsanitize=thread),
-# builds only the test binaries its labels run, and fails on any report:
-# the service's submit/cancel/drain and chaos retry/restart paths, the
-# telemetry sampler and registry stress, the recorder, and the pooled
-# gather spmv all run work on several threads at once.
+# builds only the test binaries its labels run, and fails on any report.
+# It runs every test of the service and stream suites (suite_svc,
+# suite_sim: the service's submit/cancel/drain and chaos retry/restart
+# paths, its telemetry sampler, the stream engine) plus the thread-
+# crossing slices of the others: the telemetry registry stress, the
+# recorder, and the pooled gather spmv.
 set -euo pipefail
 
 mode=asan
@@ -36,7 +38,7 @@ if [[ "$mode" == "tsan" ]]; then
     svo_trust_tests svo_svc_tests svo_obs_tests svo_sim_tests
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
   ctest --preset tsan --output-on-failure \
-    -L 'smoke_trust_scale|smoke_service|smoke_service_chaos|smoke_telemetry|smoke_observability' \
+    -L 'suite_svc|suite_sim|smoke_trust_scale|smoke_telemetry|smoke_observability' \
     "$@"
   exit 0
 fi
