@@ -102,8 +102,12 @@ Assignment greedy_construct(const SolveKernel& kernel,
 
 AssignmentSolution GreedyAssignmentSolver::solve(
     const AssignmentInstance& inst) const {
+  return solve(SolveKernel(inst));
+}
+
+AssignmentSolution GreedyAssignmentSolver::solve(
+    const SolveKernel& kernel) const {
   AssignmentSolution sol;
-  const SolveKernel kernel(inst);
   Assignment a = greedy_construct(kernel, opts_.order);
   if (a.empty() && opts_.order == GreedyOptions::Order::RegretDescending) {
     // Second chance with the other ordering: different orders fail on
@@ -114,10 +118,13 @@ AssignmentSolution GreedyAssignmentSolver::solve(
     sol.stats.status = AssignStatus::Unknown;
     return sol;
   }
-  const double cost = opts_.polish
-                          ? local_search(kernel, a, opts_.local_search)
-                          : assignment_cost(inst, a);
-  if (cost > inst.payment + 1e-9) {
+  double cost = 0.0;
+  if (opts_.polish) {
+    cost = local_search(kernel, a, opts_.local_search);
+  } else {
+    for (std::size_t t = 0; t < a.size(); ++t) cost += kernel.costs(t)[a[t]];
+  }
+  if (cost > kernel.payment() + 1e-9) {
     // Heuristic could not get under the payment cap; inconclusive.
     sol.stats.status = AssignStatus::Unknown;
     return sol;

@@ -33,8 +33,11 @@ class GreedyAssignmentSolver final : public AssignmentSolver {
   explicit GreedyAssignmentSolver(GreedyOptions opts = {}) : opts_(opts) {}
 
   using AssignmentSolver::solve;
+  /// Builds a SolveKernel (validating `inst`) and solves it.
   [[nodiscard]] AssignmentSolution solve(
       const AssignmentInstance& inst) const override;
+  /// Solve an already-built kernel (ip/solve_kernel.hpp).
+  [[nodiscard]] AssignmentSolution solve(const SolveKernel& kernel) const;
   [[nodiscard]] std::string name() const override { return "greedy"; }
 
  private:

@@ -91,6 +91,13 @@ SolveKernel::SolveKernel(const AssignmentInstance& inst)
                    });
 }
 
+void SolveKernel::retarget(double deadline, double payment) {
+  detail::require(deadline > 0.0, "SolveKernel: deadline must be > 0");
+  detail::require(payment >= 0.0, "SolveKernel: payment must be >= 0");
+  deadline_ = deadline;
+  payment_ = payment;
+}
+
 SolveKernel::SolveKernel(const SolveKernel& parent, std::size_t removed_row)
     : k_(parent.k_ - 1),
       n_(parent.n_),

@@ -16,7 +16,9 @@
 ///
 /// A kernel is built from an instance, which validates it, or derived
 /// from a parent kernel by dropping one GSP row as Algorithm 1's
-/// coalition shrinks. See DESIGN.md §4c.
+/// coalition shrinks. See DESIGN.md §4c. Nothing it computes depends on
+/// the deadline or the payment, so retarget() may change those two in
+/// place; every other field is fixed once built.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,8 @@ namespace svo::ip {
 void stable_cost_order(const double* costs, std::size_t k,
                        std::uint32_t* order);
 
-/// Task-major solve data for one instance; immutable once built.
+/// Task-major solve data for one instance; only the deadline and the
+/// payment can change once built.
 class SolveKernel {
  public:
   /// Validate `inst` (AssignmentInstance::validate) and build its kernel.
@@ -47,6 +50,12 @@ class SolveKernel {
   /// does not re-validate: the values were validated at the root.
   /// Requires parent.num_gsps() >= 2 and removed_row < parent.num_gsps().
   SolveKernel(const SolveKernel& parent, std::size_t removed_row);
+
+  /// Replace the deadline and the payment, as if the kernel had been
+  /// built from the same instance with these two values. Throws
+  /// InvalidArgument where AssignmentInstance::validate would: unless
+  /// deadline > 0 and payment >= 0.
+  void retarget(double deadline, double payment);
 
   /// True when this kernel was derived from a parent kernel.
   [[nodiscard]] bool derived() const noexcept { return derived_; }

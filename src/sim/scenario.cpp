@@ -30,17 +30,26 @@ trace::Trace build_trace(const ExperimentConfig& cfg) {
 }  // namespace
 
 ScenarioFactory::ScenarioFactory(ExperimentConfig cfg)
-    : cfg_(std::move(cfg)), trace_(build_trace(cfg_)) {}
+    : cfg_(std::move(cfg)), trace_(build_trace(cfg_)) {
+  for (std::size_t i = 0; i < trace_.jobs.size(); ++i) {
+    const trace::SwfJob& j = trace_.jobs[i];
+    if (trace::is_eligible(j, cfg_.gen.params.min_job_runtime)) {
+      eligible_by_size_[j.allocated_processors].push_back(i);
+    }
+  }
+}
 
 Scenario ScenarioFactory::make(std::size_t num_tasks,
                                std::size_t repetition) const {
   util::Xoshiro256 rng(util::derive_seed(
       cfg_.seed, scenario_stream(num_tasks, repetition)));
 
-  const std::vector<trace::ProgramSpec> programs = trace::sample_programs(
-      trace_.jobs, num_tasks, 1, rng, cfg_.gen.params.min_job_runtime);
-  detail::require(!programs.empty(),
+  const auto pool =
+      eligible_by_size_.find(static_cast<std::int64_t>(num_tasks));
+  detail::require(pool != eligible_by_size_.end(),
                   "ScenarioFactory::make: no eligible trace job of this size");
+  const std::vector<trace::ProgramSpec> programs = trace::sample_programs(
+      trace_.jobs, pool->second, 1, rng, cfg_.gen.params.min_job_runtime);
 
   Scenario s;
   s.instance = workload::generate_instance(programs.front(), cfg_.gen, rng);

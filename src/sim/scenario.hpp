@@ -3,6 +3,10 @@
 /// graph, deterministically keyed by (root seed, task count, repetition).
 #pragma once
 
+#include <cstdint>
+#include <map>
+#include <vector>
+
 #include "sim/config.hpp"
 #include "trust/trust_graph.hpp"
 
@@ -20,14 +24,16 @@ struct Scenario {
 
 /// Generates scenarios against one synthetic trace (built once; the
 /// trace is the expensive immutable input, exactly like the archive log
-/// the paper loads once).
+/// the paper loads once). The construction also indexes the trace's
+/// eligible jobs by size; neither changes afterwards, so make() may run
+/// concurrently.
 class ScenarioFactory {
  public:
   explicit ScenarioFactory(ExperimentConfig cfg);
 
   /// Build the scenario for (num_tasks, repetition). Deterministic:
   /// the same key always yields the same scenario. Throws InvalidArgument
-  /// when the trace lacks an eligible job of that size.
+  /// when the trace lacks an eligible job of that size. Thread-safe.
   [[nodiscard]] Scenario make(std::size_t num_tasks,
                               std::size_t repetition) const;
 
@@ -37,6 +43,10 @@ class ScenarioFactory {
  private:
   ExperimentConfig cfg_;
   trace::Trace trace_;
+  /// Per program size, the indices into trace_.jobs of its eligible
+  /// jobs (trace::is_eligible), in trace order. Indices rather than
+  /// pointers keep a copied factory valid.
+  std::map<std::int64_t, std::vector<std::size_t>> eligible_by_size_;
 };
 
 }  // namespace svo::sim

@@ -48,7 +48,6 @@
 #include "trace/swf.hpp"          // IWYU pragma: export
 
 #include "workload/braun.hpp"         // IWYU pragma: export
-#include "workload/etc.hpp"           // IWYU pragma: export
 #include "workload/instance_gen.hpp"  // IWYU pragma: export
 #include "workload/params.hpp"        // IWYU pragma: export
 

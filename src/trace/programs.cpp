@@ -21,18 +21,30 @@ ProgramSpec program_from_job(const SwfJob& job, double min_runtime_seconds) {
   return p;
 }
 
+bool is_eligible(const SwfJob& job, double min_runtime_seconds) noexcept {
+  return job.completed() && job.run_time >= min_runtime_seconds;
+}
+
 std::vector<ProgramSpec> sample_programs(const std::vector<SwfJob>& jobs,
                                          std::size_t num_tasks,
                                          std::size_t count,
                                          util::Xoshiro256& rng,
                                          double min_runtime_seconds) {
-  std::vector<const SwfJob*> pool;
-  for (const auto& j : jobs) {
-    if (j.completed() && j.run_time >= min_runtime_seconds &&
-        j.allocated_processors == static_cast<std::int64_t>(num_tasks)) {
-      pool.push_back(&j);
+  std::vector<std::size_t> pool;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (is_eligible(jobs[i], min_runtime_seconds) &&
+        jobs[i].allocated_processors == static_cast<std::int64_t>(num_tasks)) {
+      pool.push_back(i);
     }
   }
+  return sample_programs(jobs, pool, count, rng, min_runtime_seconds);
+}
+
+std::vector<ProgramSpec> sample_programs(const std::vector<SwfJob>& jobs,
+                                         std::span<const std::size_t> pool,
+                                         std::size_t count,
+                                         util::Xoshiro256& rng,
+                                         double min_runtime_seconds) {
   std::vector<ProgramSpec> out;
   if (pool.empty() || count == 0) return out;
   // Without replacement while the pool lasts, then with replacement.
@@ -41,9 +53,9 @@ std::vector<ProgramSpec> sample_programs(const std::vector<SwfJob>& jobs,
   rng.shuffle(order);
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const SwfJob* j = (i < order.size()) ? pool[order[i]]
-                                         : pool[rng.index(pool.size())];
-    out.push_back(program_from_job(*j, min_runtime_seconds));
+    const std::size_t j = (i < order.size()) ? pool[order[i]]
+                                              : pool[rng.index(pool.size())];
+    out.push_back(program_from_job(jobs.at(j), min_runtime_seconds));
   }
   return out;
 }
@@ -53,7 +65,7 @@ std::size_t count_eligible(const std::vector<SwfJob>& jobs,
                            double min_runtime_seconds) {
   return static_cast<std::size_t>(std::count_if(
       jobs.begin(), jobs.end(), [&](const SwfJob& j) {
-        return j.completed() && j.run_time >= min_runtime_seconds &&
+        return is_eligible(j, min_runtime_seconds) &&
                j.allocated_processors == static_cast<std::int64_t>(num_tasks);
       }));
 }

@@ -1,8 +1,10 @@
 #include "workload/instance_gen.hpp"
 
-#include <algorithm>
+#include <cmath>
+#include <optional>
 
 #include "ip/greedy.hpp"
+#include "ip/solve_kernel.hpp"
 
 namespace svo::workload {
 
@@ -54,18 +56,25 @@ linalg::Matrix execution_times(const std::vector<double>& speeds,
   return t;
 }
 
+void InstanceGenOptions::validate() const {
+  detail::require(max_feasibility_redraws > 0,
+                  "InstanceGenOptions: max_feasibility_redraws must be > 0");
+  detail::require(std::isfinite(relax_step) && relax_step > 1.0,
+                  "InstanceGenOptions: relax_step must be finite and > 1");
+}
+
 namespace {
 
 /// Fast feasibility probe: can *some* assignment satisfy (11)-(13) within
 /// payment (10)? Uses greedy construction (both orderings) + a short
 /// local search; sound "yes", heuristic "no".
-bool probe_feasible(const ip::AssignmentInstance& inst) {
+bool probe_feasible(const ip::SolveKernel& kernel) {
   ip::GreedyOptions opts;
   opts.local_search.max_move_passes = 6;
   opts.local_search.max_swap_passes = 1;
   opts.local_search.swap_sample_per_task = 4;
   const ip::GreedyAssignmentSolver solver(opts);
-  return solver.solve(inst).has_assignment();
+  return solver.solve(kernel).has_assignment();
 }
 
 }  // namespace
@@ -73,6 +82,7 @@ bool probe_feasible(const ip::AssignmentInstance& inst) {
 GridInstance generate_instance(const trace::ProgramSpec& program,
                                const InstanceGenOptions& opts,
                                util::Xoshiro256& rng) {
+  opts.validate();
   const TableIParams& p = opts.params;
   GridInstance gi;
   gi.program = program;
@@ -87,6 +97,9 @@ GridInstance generate_instance(const trace::ProgramSpec& program,
   const double n = static_cast<double>(program.num_tasks);
   const double runtime = program.mean_task_runtime;
   double relax = 1.0;
+  // The probe's kernel is built on the first draw and retargeted on each
+  // redraw: only the deadline and the payment change between draws.
+  std::optional<ip::SolveKernel> kernel;
   for (;;) {
     const double deadline_factor =
         rng.uniform(p.deadline_factor_lo, p.deadline_factor_hi);
@@ -96,7 +109,12 @@ GridInstance generate_instance(const trace::ProgramSpec& program,
     // flagged) only if the ranges themselves cannot yield feasibility.
     gi.assignment.deadline = relax * deadline_factor * runtime * n / 1000.0;
     gi.assignment.payment = relax * payment_factor * p.max_cost() * n;
-    if (probe_feasible(gi.assignment)) break;
+    if (kernel) {
+      kernel->retarget(gi.assignment.deadline, gi.assignment.payment);
+    } else {
+      kernel.emplace(gi.assignment);
+    }
+    if (probe_feasible(*kernel)) break;
     ++gi.feasibility_redraws;
     if (gi.feasibility_redraws % opts.max_feasibility_redraws == 0) {
       relax *= opts.relax_step;

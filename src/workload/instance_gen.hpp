@@ -41,6 +41,11 @@ struct InstanceGenOptions {
   std::size_t max_feasibility_redraws = 60;
   /// Multiplier applied to the deadline per relaxation step (see above).
   double relax_step = 1.25;
+
+  /// Throws InvalidArgument naming the field unless
+  /// max_feasibility_redraws > 0 and relax_step is finite and > 1, the
+  /// values with which the rejection loop widens the ranges step by step.
+  void validate() const;
 };
 
 /// Generate speeds: gflops_per_processor * U_int[speed_lo, speed_hi]
@@ -65,7 +70,8 @@ struct InstanceGenOptions {
 /// ranges until a greedy probe finds a feasible assignment; if
 /// max_feasibility_redraws is exhausted, the deadline range is relaxed
 /// multiplicatively (flagged in the result) so callers always receive a
-/// feasible instance, exactly as the paper promises.
+/// feasible instance, exactly as the paper promises. Throws
+/// InvalidArgument when `opts` fails InstanceGenOptions::validate.
 [[nodiscard]] GridInstance generate_instance(const trace::ProgramSpec& program,
                                              const InstanceGenOptions& opts,
                                              util::Xoshiro256& rng);

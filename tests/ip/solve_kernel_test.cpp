@@ -1,14 +1,16 @@
 /// Tests for ip/solve_kernel.hpp: the task-major layout, the stable cost
 /// orders (both sort branches), kernels derived by dropping GSP rows
 /// equal to kernels built from the restricted instance — every field and
-/// the regret order, including ties and +inf costs — and the B&B
-/// ignoring a hinted kernel that does not describe its instance.
+/// the regret order, including ties and +inf costs — retargeted kernels
+/// equal to kernels built with the new deadline and payment, and the
+/// B&B ignoring a hinted kernel that does not describe its instance.
 #include "ip/solve_kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "ip/bnb.hpp"
+#include "ip/greedy.hpp"
 #include "ip/warm_start.hpp"
 #include "tests/ip/test_instances.hpp"
 
@@ -249,6 +252,34 @@ TEST(SolveKernelTest, MismatchedKernelIsIgnored) {
   EXPECT_EQ(hot.stats.nodes, cold.stats.nodes);
   EXPECT_EQ(hot.stats.status, cold.stats.status);
   EXPECT_EQ(hot.cost, cold.cost);
+}
+
+TEST(SolveKernelTest, RetargetedKernelEqualsBuiltKernel) {
+  // Retargeting changes the deadline and the payment and nothing else:
+  // the result equals a kernel built with the new values, and the greedy
+  // solver, polished or not, solves both alike.
+  util::Xoshiro256 rng(21);
+  AssignmentInstance inst = testing::random_instance(6, 40, rng);
+  SolveKernel kernel(inst);
+  inst.deadline *= 0.8;
+  inst.payment *= 1.5;
+  kernel.retarget(inst.deadline, inst.payment);
+  expect_same_kernel(kernel, SolveKernel(inst), "retargeted");
+  for (const bool polish : {true, false}) {
+    GreedyOptions opts;
+    opts.polish = polish;
+    const GreedyAssignmentSolver greedy(opts);
+    const AssignmentSolution a = greedy.solve(kernel);
+    const AssignmentSolution b = greedy.solve(inst);
+    EXPECT_EQ(a.stats.status, b.stats.status) << "polish " << polish;
+    EXPECT_EQ(a.assignment, b.assignment) << "polish " << polish;
+    EXPECT_EQ(bits(a.cost), bits(b.cost)) << "polish " << polish;
+  }
+  // Refused where AssignmentInstance::validate refuses, kernel untouched.
+  EXPECT_THROW(kernel.retarget(0.0, 1.0), InvalidArgument);
+  EXPECT_THROW(kernel.retarget(std::nan(""), 1.0), InvalidArgument);
+  EXPECT_THROW(kernel.retarget(1.0, -1.0), InvalidArgument);
+  expect_same_kernel(kernel, SolveKernel(inst), "after refused retargets");
 }
 
 TEST(SolveKernelTest, BuildingValidates) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace svo::sim {
@@ -58,6 +62,51 @@ TEST(ScenarioFactoryTest, MechanismSeedsAreDistinct) {
   const ScenarioFactory factory(small_config());
   const Scenario s = factory.make(32, 0);
   EXPECT_NE(s.tvof_seed, s.rvof_seed);
+}
+
+/// Same program, instance data and trust edges, bit for bit.
+void expect_same_scenario(const Scenario& a, const Scenario& b) {
+  EXPECT_EQ(a.instance.program.source_job, b.instance.program.source_job);
+  EXPECT_EQ(a.instance.assignment.cost.data(),
+            b.instance.assignment.cost.data());
+  EXPECT_EQ(a.instance.assignment.time.data(),
+            b.instance.assignment.time.data());
+  EXPECT_EQ(a.instance.assignment.deadline, b.instance.assignment.deadline);
+  EXPECT_EQ(a.instance.assignment.payment, b.instance.assignment.payment);
+  EXPECT_EQ(a.trust.graph().adjacency_matrix().data(),
+            b.trust.graph().adjacency_matrix().data());
+  EXPECT_EQ(a.tvof_seed, b.tvof_seed);
+}
+
+TEST(ScenarioFactoryTest, CopyOutlivesItsOriginal) {
+  // The eligible-job index holds positions in the factory's own trace,
+  // so a copy keeps working after the original is gone.
+  auto original = std::make_unique<ScenarioFactory>(small_config());
+  const Scenario want = original->make(64, 1);
+  const ScenarioFactory copy = *original;
+  original.reset();
+  expect_same_scenario(copy.make(64, 1), want);
+}
+
+TEST(ScenarioFactoryTest, ConcurrentMakeMatchesSerial) {
+  const ScenarioFactory factory(small_config());
+  constexpr std::size_t kThreads = 4;
+  std::vector<Scenario> serial;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    serial.push_back(factory.make(i % 2 == 0 ? 32 : 64, i / 2));
+  }
+  std::vector<Scenario> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      concurrent[i] = factory.make(i % 2 == 0 ? 32 : 64, i / 2);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    SCOPED_TRACE(i);
+    expect_same_scenario(concurrent[i], serial[i]);
+  }
 }
 
 TEST(ScenarioFactoryTest, UnknownSizeThrows) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "trace/programs.hpp"
 #include "util/error.hpp"
 
@@ -91,6 +93,28 @@ TEST(AtlasSynthTest, RejectsBadOptions) {
   o = small_opts();
   o.min_processors = 0;
   EXPECT_THROW((void)generate_atlas_like(o, 1), InvalidArgument);
+}
+
+TEST(AtlasSynthTest, UncoverableCanonicalSizeRejected) {
+  // Four jobs cannot hold eight large jobs at each of two sizes. The
+  // retag loop skips jobs that are already canonical, so it used to draw
+  // forever once all four were.
+  AtlasSynthOptions o;
+  o.num_jobs = 4;
+  o.canonical_sizes = {24, 48};
+  o.min_jobs_per_canonical_size = 8;
+  try {
+    (void)generate_atlas_like(o, 1);
+    ADD_FAILURE() << "an uncoverable canonical size was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("canonical size 24"),
+              std::string::npos)
+        << e.what();
+  }
+  // Exactly enough jobs: every one of the four is retagged.
+  o.min_jobs_per_canonical_size = 2;
+  const Trace t = generate_atlas_like(o, 1);
+  EXPECT_EQ(count_eligible(t.jobs, 24) + count_eligible(t.jobs, 48), 4u);
 }
 
 }  // namespace

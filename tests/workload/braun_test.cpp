@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <vector>
+
 namespace svo::workload {
 namespace {
 
@@ -106,6 +111,36 @@ TEST(BraunTest, RejectsBadArguments) {
   bad.phi_b = 0.5;
   EXPECT_THROW((void)generate_braun_costs(2, {1.0, 2.0}, bad, rng),
                InvalidArgument);
+  // An infinite range could draw inf * 0 = NaN, which no sort orders.
+  bad.phi_b = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)generate_braun_costs(2, {1.0, 2.0}, bad, rng),
+               InvalidArgument);
+}
+
+TEST(BraunTest, LongRowsAreSortedExactly) {
+  // Rows from 96 tasks on are radix-sorted: every Strict row, read in
+  // workload order, must be non-decreasing and hold the row's values.
+  util::Xoshiro256 rng(12);
+  for (const std::size_t n : {95, 96, 300}) {
+    const auto w = random_workloads(n, rng);
+    util::Xoshiro256 strict_rng = rng;
+    util::Xoshiro256 none_rng = rng;
+    BraunOptions none;
+    none.monotonicity = WorkloadMonotonicity::BaselineOnly;
+    const linalg::Matrix cs = generate_braun_costs(3, w, {}, strict_rng);
+    const linalg::Matrix cb = generate_braun_costs(3, w, none, none_rng);
+    std::vector<std::size_t> by_workload(n);
+    std::iota(by_workload.begin(), by_workload.end(), std::size_t{0});
+    std::stable_sort(by_workload.begin(), by_workload.end(),
+                     [&](std::size_t a, std::size_t b) { return w[a] < w[b]; });
+    for (std::size_t g = 0; g < 3; ++g) {
+      std::vector<double> got(n);
+      std::vector<double> want(cb.row(g).begin(), cb.row(g).end());
+      for (std::size_t r = 0; r < n; ++r) got[r] = cs(g, by_workload[r]);
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got, want) << "n = " << n << ", GSP " << g;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "ip/greedy.hpp"
 
 namespace svo::workload {
@@ -115,6 +118,42 @@ TEST(GenerateInstanceTest, CostsAreWorkloadMonotone) {
         }
       }
     }
+  }
+}
+
+/// generate_instance must throw InvalidArgument naming `field`.
+void expect_rejected(const InstanceGenOptions& opts, const char* field) {
+  util::Xoshiro256 rng(5);
+  try {
+    (void)generate_instance(test_program(64), opts, rng);
+    ADD_FAILURE() << field << ": bad value accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GenerateInstanceTest, ZeroRedrawBudgetRejected) {
+  // Deadlines far below the Table I range reject the first draw, after
+  // which the relaxation schedule used to divide by the zero budget.
+  InstanceGenOptions opts;
+  opts.params.num_gsps = 8;
+  opts.params.deadline_factor_lo = 0.003;
+  opts.params.deadline_factor_hi = 0.004;
+  opts.max_feasibility_redraws = 0;
+  expect_rejected(opts, "max_feasibility_redraws");
+}
+
+TEST(GenerateInstanceTest, RelaxStepAtMostOneRejected) {
+  // With relax_step <= 1 the ranges never widen, so an instance the
+  // probe always rejects would loop forever. This instance is feasible
+  // on its first draws, so the bad value used to pass unnoticed.
+  for (const double step : {1.0, 0.5, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    InstanceGenOptions opts;
+    opts.params.num_gsps = 8;
+    opts.relax_step = step;
+    expect_rejected(opts, "relax_step");
   }
 }
 

@@ -52,9 +52,10 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 
 # Smoke slice first (tests/CMakeLists.txt `smoke`, `smoke_stream`,
-# `smoke_service`, `smoke_service_chaos` and `smoke_trust_scale`
-# labels): the warm-start, adversarial-trust, streaming-churn,
-# formation-service and sparse-trust tests fail in seconds when the
+# `smoke_service`, `smoke_service_chaos`, `smoke_trust_scale`,
+# `smoke_telemetry` and `smoke_scenario` labels): the warm-start,
+# adversarial-trust, streaming-churn, formation-service and
+# sparse-trust tests fail in seconds when the
 # incremental solve path, the defenses-off equivalence, the churn
 # schedule/quarantine invariants, the service's single-shard ≡
 # direct-run contract, or the sparse-vs-dense bit-identity break,
@@ -68,8 +69,9 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 # parallel code path of the sparse engine; the telemetry slice
 # (DESIGN.md §4j) runs the tick-loop sampler, the concurrent registry
 # stress and the windowed-SLO layer, where data races between
-# submit/tick/health threads would surface.
-ctest --preset asan-ubsan -L 'smoke|smoke_stream|smoke_service|smoke_service_chaos|smoke_trust_scale|smoke_telemetry' --output-on-failure
+# submit/tick/health threads would surface; the scenario slice runs the
+# Braun radix sort's buckets and the factory's eligible-job indices.
+ctest --preset asan-ubsan -L 'smoke|smoke_stream|smoke_service|smoke_service_chaos|smoke_trust_scale|smoke_telemetry|smoke_scenario' --output-on-failure
 
 if [[ "$mode" == "smoke" ]]; then
   exit 0
