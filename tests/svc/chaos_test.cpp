@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -601,6 +602,98 @@ TEST(ChaosServiceTest, SameSeedChaoticReplayIsIdentical) {
   EXPECT_GT(first.stats.retries + first.stats.failed + first.stats.restarts +
                 first.stats.stalls,
             0u);
+}
+
+/// Golden pin of a chaotic single-shard run, so a change that shifts two
+/// replays alike still shows. Transient solver faults, poison, shard
+/// kills and stalls from a seeded plan, a retry budget of 2 and every
+/// fifth request expiring at dispatch. One ticket per tick makes every
+/// tick fault fire on its ticket's first pop, so the fault counts do not
+/// depend on how a wall-clock backoff groups tickets into batches.
+TEST(ChaosServiceTest, ChaoticOutcomesArePinned) {
+  const ip::BnbAssignmentSolver solver;
+  const core::TvofMechanism tvof(solver);
+  const Fixture f = make_fixture(6, 14, 0x9120);
+  constexpr std::size_t kRequests = 20;
+
+  ChaosProfile profile;
+  profile.solver_fault_rate = 0.25;
+  profile.fault_attempts = 2;
+  profile.poison_rate = 0.1;
+  profile.abort_rate = 0.15;
+  profile.stall_rate = 0.15;
+  profile.stall_seconds = 0.0002;
+
+  ServiceOptions opt;
+  opt.batch_size = 1;
+  opt.start_paused = true;
+  opt.retry_backoff_base_seconds = 0.0001;
+  opt.retry_backoff_cap_seconds = 0.001;
+  opt.faults = random_fault_plan(0x9120, kRequests, profile);
+  FormationService service(tvof, opt);
+  std::vector<RequestHandle> handles;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    util::Xoshiro256 rng(5000 + i);
+    core::FormationRequest req{f.instance, f.trust, rng};
+    req.max_retries = 2;
+    if (i % 5 == 4) req.deadline_seconds = 0.0;
+    handles.push_back(service.submit(req));
+  }
+  service.resume();
+  service.drain();
+
+  struct Pin {
+    const char* state;
+    std::uint32_t attempts;
+    std::uint64_t rng_probe;
+    const char* error;
+  };
+  // clang-format off
+  const std::vector<Pin> kPins = {
+      {"done", 1U, 0xa35d0c0b20d53a40ULL, ""},
+      {"failed", 3U, 0x0ULL, "injected solver fault (ticket 1, attempt 3)"},
+      {"done", 1U, 0xcde2a6617d144afcULL, ""},
+      {"done", 3U, 0xbfafaeaceb9fbaaeULL, ""},
+      {"deadline_exceeded", 0U, 0x0ULL, ""},
+      {"done", 1U, 0xf43ae3a4341bb788ULL, ""},
+      {"done", 1U, 0xf1969773f9d2c2e5ULL, ""},
+      {"done", 1U, 0x73d507d0ad156ff1ULL, ""},
+      {"done", 1U, 0x70f65e85630d30d4ULL, ""},
+      {"deadline_exceeded", 0U, 0x0ULL, ""},
+      {"done", 3U, 0xe56c4937739d9818ULL, ""},
+      {"failed", 3U, 0x0ULL, "injected solver fault (ticket 11, attempt 3)"},
+      {"done", 1U, 0x6e02825e5770e372ULL, ""},
+      {"done", 3U, 0x4e3de12d83db495aULL, ""},
+      {"deadline_exceeded", 0U, 0x0ULL, ""},
+      {"done", 1U, 0xc80688d8df6ebc02ULL, ""},
+      {"done", 1U, 0x4688caafacd4829dULL, ""},
+      {"done", 3U, 0x18d03638574ece42ULL, ""},
+      {"done", 1U, 0x826ca8f182296436ULL, ""},
+      {"deadline_exceeded", 0U, 0x0ULL, ""},
+  };
+  // clang-format on
+  std::ostringstream actual;
+  for (const RequestHandle& h : handles) {
+    const RequestOutcome& out = h.outcome();
+    actual << "{\"" << to_string(out.state) << "\", " << out.attempts
+           << "U, 0x" << std::hex << out.rng_probe << std::dec << "ULL, \""
+           << out.error << "\"},\n";
+  }
+  ASSERT_EQ(handles.size(), kPins.size()) << "actual table:\n" << actual.str();
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    SCOPED_TRACE("ticket " + std::to_string(i));
+    const RequestOutcome& out = handles[i].outcome();
+    EXPECT_STREQ(to_string(out.state), kPins[i].state);
+    EXPECT_EQ(out.attempts, kPins[i].attempts);
+    EXPECT_EQ(out.rng_probe, kPins[i].rng_probe);
+    EXPECT_EQ(out.error, kPins[i].error);
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.retries, 12u);
+  EXPECT_EQ(stats.expired, 4u);
+  EXPECT_EQ(stats.restarts, 3u);
+  EXPECT_EQ(stats.tick_aborts, 3u);
+  EXPECT_EQ(stats.stalls, 4u);
 }
 
 /// Heavy mixed chaos plus expiring deadlines: every admitted request
