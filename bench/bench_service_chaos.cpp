@@ -43,8 +43,8 @@ constexpr std::size_t kTasks = 24;
 constexpr std::size_t kPool = 6;
 constexpr std::size_t kShards = 4;
 constexpr std::uint32_t kRetryBudget = 3;
-/// Every kDeadlineStride-th request carries deadline_seconds = 0 and
-/// deterministically expires at first dispatch.
+/// Every kDeadlineStride-th request is submitted with deadline_seconds
+/// = 0 and deterministically expires at first dispatch.
 constexpr std::size_t kDeadlineStride = 8;
 
 std::uint64_t request_seed(std::uint64_t root, std::size_t i) {
@@ -95,10 +95,13 @@ ChaosRun run_chaos(const core::VoFormationMechanism& mechanism,
   for (std::size_t i = 0; i < requests; ++i) {
     const sim::Scenario& s = pool[i % pool.size()];
     util::Xoshiro256 rng(request_seed(seed, i));
-    core::FormationRequest req{s.instance.assignment, s.trust, rng};
-    req.max_retries = kRetryBudget;
-    if (i % kDeadlineStride == kDeadlineStride - 1) req.deadline_seconds = 0.0;
-    handles.push_back(service.submit(req));
+    svc::SubmitOptions submit;
+    submit.max_retries = kRetryBudget;
+    if (i % kDeadlineStride == kDeadlineStride - 1) {
+      submit.deadline_seconds = 0.0;
+    }
+    handles.push_back(service.submit(
+        core::FormationRequest{s.instance.assignment, s.trust, rng}, submit));
   }
   service.drain();
   run.elapsed_s = timer.seconds();
@@ -129,7 +132,7 @@ bool outcomes_identical(const svc::RequestOutcome& a,
          a.result.cost == b.result.cost && a.result.value == b.result.value;
 }
 
-/// Empty plan, default scheduling fields, single shard: the chaos-capable
+/// Empty plan, default submit options, single shard: the chaos-capable
 /// service must still reproduce direct runs bit for bit (the PR 7
 /// equivalence point, RNG probe included).
 bool faults_off_matches_direct(const core::VoFormationMechanism& mechanism,

@@ -658,16 +658,18 @@ int cmd_serve(int argc, char** argv) {
 
   std::vector<svc::RequestHandle> handles;
   handles.reserve(requests);
+  svc::SubmitOptions submit;
+  submit.deadline_seconds = deadline;
+  submit.priority = static_cast<std::int32_t>(priority);
+  submit.max_retries = static_cast<std::uint32_t>(
+      std::min<unsigned long>(retries, 0xFFFFFFFFul));
   const util::WallTimer timer;
   for (std::size_t i = 0; i < requests; ++i) {
     util::Xoshiro256 rng(seed ^ (0x9E3779B97F4A7C15ULL * (i + 1)));
-    core::FormationRequest req{grids[i % kPool].assignment, trusts[i % kPool],
-                               rng};
-    req.deadline_seconds = deadline;
-    req.priority = static_cast<std::int32_t>(priority);
-    req.max_retries = static_cast<std::uint32_t>(
-        std::min<unsigned long>(retries, 0xFFFFFFFFul));
-    handles.push_back(service.submit(req));
+    handles.push_back(service.submit(
+        core::FormationRequest{grids[i % kPool].assignment, trusts[i % kPool],
+                               rng},
+        submit));
   }
   if (stats_every > 0.0) {
     // Live windowed health table while the burst drains: poll health()

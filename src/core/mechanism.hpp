@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -144,24 +143,6 @@ struct FormationRequest {
   /// coalition over all of the instance's GSPs.
   game::Coalition candidates{};
   WarmStartPolicy warm_start = WarmStartPolicy::Incremental;
-
-  // --- Service scheduling metadata (svc::FormationService) ---
-  // The synchronous run() ignores the three fields below; they shape how
-  // the asynchronous service queues, orders, expires and retries the
-  // request (DESIGN.md §4h). svc validates them at submit with typed
-  // InvalidArgument checks.
-
-  /// Relative deadline, wall seconds from service admission; infinity =
-  /// none. A request still queued past its deadline terminates as
-  /// DeadlineExceeded *before* any solve; 0 expires at first dispatch
-  /// (the deterministic-expiry idiom tests and benches rely on).
-  double deadline_seconds = std::numeric_limits<double>::infinity();
-  /// Drain order within a shard: higher priority first, then earlier
-  /// deadline (EDF), then admission order.
-  std::int32_t priority = 0;
-  /// Retry budget on a failed solve: up to this many re-attempts with
-  /// capped exponential backoff (ServiceOptions::retry_backoff_*).
-  std::uint32_t max_retries = 0;
 };
 
 /// Abstract VO-formation mechanism (template method over the removal

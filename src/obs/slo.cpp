@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "util/error.hpp"
 
 namespace svo::obs {

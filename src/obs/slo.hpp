@@ -17,11 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "obs/timeseries.hpp"
-
 namespace svo::obs {
 
 class MetricRegistry;
+struct Window;
 
 enum class SloKind {
   /// Histogram quantile must stay below threshold (e.g. queue p99).

@@ -1,6 +1,7 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -105,6 +106,31 @@ Window TimeSeries::rollup(std::size_t last_n) const {
     }
   }
   return out;
+}
+
+void WindowSampler::validate(const char* who, double window_seconds,
+                             std::size_t capacity,
+                             const std::vector<SloObjective>& slos) {
+  const auto require = [who](bool cond, const char* what) {
+    if (!cond) throw InvalidArgument(std::string(who) + ": " + what);
+  };
+  require(std::isfinite(window_seconds) && window_seconds >= 0.0,
+          "stats_window_seconds must be finite and >= 0");
+  require(window_seconds == 0.0 || capacity > 0,
+          "stats_window_capacity must be > 0");
+  require(window_seconds > 0.0 || slos.empty(),
+          "slos require stats_window_seconds > 0");
+  for (const SloObjective& o : slos) o.validate();
+}
+
+WindowSampler::WindowSampler(MetricRegistry& registry, double window_seconds,
+                             std::size_t capacity,
+                             std::vector<SloObjective> slos)
+    : window_seconds_(window_seconds),
+      next_end_(window_seconds),
+      series_(registry, capacity),
+      slo_(std::move(slos), &registry) {
+  detail::require(window_seconds > 0.0, "WindowSampler: window must be > 0");
 }
 
 WindowedHistogram::WindowedHistogram(std::size_t capacity)

@@ -9,19 +9,21 @@
 ///
 /// Windows advance on an *injected* clock: svc::FormationService feeds
 /// wall time from its util::WallTimer, sim::StreamEngine feeds virtual
-/// time from des::Simulator. Nothing here reads a real clock, so
-/// virtual-time window sequences are deterministic and replay-identical
-/// (same discipline as the rest of the obs spine: telemetry is an
-/// observer, never an actor).
+/// time from des::Simulator, both through one WindowSampler. Nothing
+/// here reads a real clock, so virtual-time window sequences are
+/// deterministic and replay-identical (same discipline as the rest of
+/// the obs spine: telemetry is an observer, never an actor).
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
 
 namespace svo::obs {
 
@@ -50,9 +52,7 @@ struct Window {
 };
 
 /// Fixed-capacity ring of windows over one MetricRegistry. Not
-/// thread-safe: callers serialize advance() themselves (the service
-/// samples under its telemetry mutex, the stream engine is
-/// single-threaded).
+/// thread-safe: callers serialize advance() (WindowSampler below).
 class TimeSeries {
  public:
   /// Observes — never owns — `registry`; capacity bounds the ring
@@ -96,6 +96,55 @@ class TimeSeries {
   RegistrySnapshot prev_;
   double last_time_ = 0.0;
   std::uint64_t next_index_ = 0;
+};
+
+/// Closes the windows [k*w, (k+1)*w) of a TimeSeries on an injected
+/// clock and scores every SLO on each. Not thread-safe, like the
+/// TimeSeries and SloTracker it owns.
+class WindowSampler {
+ public:
+  /// Sees each closed window after its SLO verdicts.
+  using Sink = std::function<void(const Window&)>;
+
+  /// The window options both hosts carry; throws InvalidArgument
+  /// ("<who>: ...") on a negative or non-finite window, a zero capacity,
+  /// SLOs with the window 0 (telemetry off), or an invalid objective.
+  static void validate(const char* who, double window_seconds,
+                       std::size_t capacity,
+                       const std::vector<SloObjective>& slos);
+
+  /// Windows of `window_seconds` > 0 from 0 on. SLO verdicts surface
+  /// into `registry` as slo.* metrics, landing in the *next* window.
+  WindowSampler(MetricRegistry& registry, double window_seconds,
+                std::size_t capacity, std::vector<SloObjective> slos);
+
+  /// Close every window that ends at or before `now`; an event at the
+  /// boundary k*w belongs to window k.
+  void advance(double now, const Sink& sink = {}) {
+    for (; next_end_ <= now; next_end_ += window_seconds_) {
+      close(next_end_, sink);
+    }
+  }
+  /// advance(now), then close the open partial window up to `now`.
+  void finish(double now, const Sink& sink = {}) {
+    advance(now, sink);
+    if (now > next_end_ - window_seconds_) close(now, sink);
+  }
+
+  [[nodiscard]] const TimeSeries& series() const noexcept { return series_; }
+  [[nodiscard]] const SloTracker& slo() const noexcept { return slo_; }
+
+ private:
+  void close(double end, const Sink& sink) {
+    const Window& w = series_.advance(end);
+    slo_.evaluate(w);
+    if (sink) sink(w);
+  }
+
+  double window_seconds_;
+  double next_end_;
+  TimeSeries series_;
+  SloTracker slo_;
 };
 
 /// Standalone windowed histogram for callers without a registry: a live

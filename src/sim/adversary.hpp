@@ -20,19 +20,12 @@
 
 #include "core/mechanism.hpp"
 #include "ip/assignment.hpp"
+#include "sim/config.hpp"
 #include "sim/learning.hpp"
 #include "trust/attack.hpp"
 #include "trust/robust.hpp"
 
 namespace svo::sim {
-
-/// Which formation mechanism an arm runs. The harness constructs the
-/// mechanism internally (per round, so defense state like the quarantine
-/// freshness list can vary round to round).
-enum class MechanismKind {
-  Tvof,
-  Rvof,
-};
 
 /// One arm of the resilience experiment.
 struct AdversarialLoopConfig {

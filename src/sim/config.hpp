@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/mechanism.hpp"
@@ -13,6 +14,20 @@
 #include "workload/instance_gen.hpp"
 
 namespace svo::sim {
+
+/// Which formation mechanism a stream or an adversarial arm runs.
+enum class MechanismKind {
+  Tvof,
+  Rvof,
+};
+
+/// The mechanism of `kind` over `solver` (which must outlive it). The
+/// stream engine and the resilience harness build one per formation
+/// run, so defense state like the quarantine freshness list can vary
+/// run to run.
+[[nodiscard]] std::unique_ptr<core::VoFormationMechanism> make_mechanism(
+    MechanismKind kind, const ip::AssignmentSolver& solver,
+    const core::MechanismConfig& config);
 
 /// Configuration of a sweep experiment (Figs. 1, 2, 3, 9) and the
 /// scenario source for the per-program figures (Figs. 4-8).

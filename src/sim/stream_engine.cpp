@@ -5,8 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "core/rvof.hpp"
-#include "core/tvof.hpp"
 #include "des/event_queue.hpp"
 #include "obs/trace.hpp"
 #include "trace/stream.hpp"
@@ -103,32 +101,11 @@ void StreamOptions::validate() const {
         !base.task_sizes.empty(),
         "StreamOptions: SweepGrid ingest requires non-empty base.task_sizes");
   }
-  detail::require(
-      std::isfinite(stats_window_seconds) && stats_window_seconds >= 0.0,
-      "StreamOptions: stats_window_seconds must be finite and >= 0");
-  if (stats_window_seconds > 0.0) {
-    detail::require(stats_window_capacity > 0,
-                    "StreamOptions: stats_window_capacity must be > 0");
-  } else {
-    detail::require(slos.empty(),
-                    "StreamOptions: slos require stats_window_seconds > 0");
-  }
-  for (const obs::SloObjective& o : slos) o.validate();
+  obs::WindowSampler::validate("StreamOptions", stats_window_seconds,
+                               stats_window_capacity, slos);
 }
 
 namespace {
-
-std::unique_ptr<core::VoFormationMechanism> make_mechanism(
-    MechanismKind kind, const ip::AssignmentSolver& solver,
-    const core::MechanismConfig& config) {
-  switch (kind) {
-    case MechanismKind::Rvof:
-      return std::make_unique<core::RvofMechanism>(solver, config);
-    case MechanismKind::Tvof:
-      break;
-  }
-  return std::make_unique<core::TvofMechanism>(solver, config);
-}
 
 /// Live state of one admitted request.
 struct RequestState {
@@ -177,9 +154,7 @@ struct Engine {
   /// bit-identity. Pure observer: reads sim.now(), mutates nothing the
   /// events see.
   std::unique_ptr<obs::MetricRegistry> tel_registry;
-  std::unique_ptr<obs::TimeSeries> tel_series;
-  std::unique_ptr<obs::SloTracker> tel_slo;
-  double tel_next_end = 0.0;
+  std::unique_ptr<obs::WindowSampler> tel_sampler;
 
   Engine(const StreamOptions& o, std::size_t num_gsps)
       : opts(o),
@@ -189,28 +164,16 @@ struct Engine {
         m(num_gsps) {
     if (opts.stats_window_seconds > 0.0) {
       tel_registry = std::make_unique<obs::MetricRegistry>();
-      tel_series = std::make_unique<obs::TimeSeries>(
-          *tel_registry, opts.stats_window_capacity);
-      tel_slo = std::make_unique<obs::SloTracker>(opts.slos,
-                                                  tel_registry.get());
-      tel_next_end = opts.stats_window_seconds;
-    }
-  }
-
-  /// Close every window that ended at or before `now` (an event at the
-  /// exact boundary k*w belongs to window k, which covers [k*w,(k+1)*w)).
-  void advance_telemetry(double now) {
-    while (tel_next_end <= now) {
-      const obs::Window& w = tel_series->advance(tel_next_end);
-      tel_slo->evaluate(w);
-      tel_next_end += opts.stats_window_seconds;
+      tel_sampler = std::make_unique<obs::WindowSampler>(
+          *tel_registry, opts.stats_window_seconds,
+          opts.stats_window_capacity, opts.slos);
     }
   }
 
   void log(StreamEventKind kind, std::size_t request = SIZE_MAX,
            std::size_t gsp = SIZE_MAX) {
     if (tel_registry) {
-      advance_telemetry(sim.now());
+      tel_sampler->advance(sim.now());
       tel_registry->counter(std::string("stream.") + to_string(kind)).add();
       tel_registry->gauge("stream.live")
           .set(static_cast<double>(live_count()));
@@ -568,20 +531,13 @@ StreamResult StreamEngine::run() const {
   }
   engine.sim.run();
 
-  if (engine.tel_registry) {
-    // Close trailing full windows, then one final partial window up to
-    // the horizon so the tail of the run is accounted. Deterministic:
-    // the horizon is itself a pure function of the config.
-    engine.advance_telemetry(engine.sim.now());
-    const double last_closed =
-        engine.tel_next_end - options_.stats_window_seconds;
-    if (engine.sim.now() > last_closed) {
-      const obs::Window& w = engine.tel_series->advance(engine.sim.now());
-      engine.tel_slo->evaluate(w);
-    }
-    const auto& ring = engine.tel_series->windows();
+  if (engine.tel_sampler) {
+    // Account the tail up to the horizon, itself a pure function of the
+    // config.
+    engine.tel_sampler->finish(engine.sim.now());
+    const auto& ring = engine.tel_sampler->series().windows();
     out.windows.assign(ring.begin(), ring.end());
-    out.slo_status = engine.tel_slo->status();
+    out.slo_status = engine.tel_sampler->slo().status();
   }
 
   // Aggregate.

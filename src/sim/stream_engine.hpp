@@ -42,10 +42,9 @@
 #include <vector>
 
 #include "core/mechanism.hpp"
-#include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
-#include "sim/adversary.hpp"  // MechanismKind
 #include "sim/churn.hpp"
+#include "sim/config.hpp"
 #include "sim/scenario.hpp"
 
 namespace svo::sim {
@@ -172,9 +171,8 @@ struct StreamOptions {
 
   /// Throws InvalidArgument (message "StreamOptions: ...") on invalid
   /// knobs: zero requests/interval, non-positive deadline, floor above
-  /// the GSP pool size, multiplier < 1, negative scales, bad churn,
-  /// a negative / non-finite stats window, a zero window capacity,
-  /// SLOs with telemetry off, or an invalid SLO objective.
+  /// the GSP pool size, multiplier < 1, negative scales, bad churn, or
+  /// bad window options (obs::WindowSampler::validate).
   void validate() const;
 };
 

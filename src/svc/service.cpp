@@ -46,20 +46,11 @@ void ServiceOptions::validate() const {
           retry_backoff_cap_seconds >= retry_backoff_base_seconds,
       "ServiceOptions: retry_backoff_cap_seconds must be finite and >= base");
   faults.validate();
+  obs::WindowSampler::validate("ServiceOptions", stats_window_seconds,
+                               stats_window_capacity, slos);
   svo::detail::require(
-      std::isfinite(stats_window_seconds) && stats_window_seconds >= 0.0,
-      "ServiceOptions: stats_window_seconds must be finite and >= 0");
-  if (stats_window_seconds > 0.0) {
-    svo::detail::require(stats_window_capacity > 0,
-                    "ServiceOptions: stats_window_capacity must be > 0");
-  } else {
-    svo::detail::require(slos.empty(),
-                    "ServiceOptions: slos require stats_window_seconds > 0");
-    svo::detail::require(
-        stats_jsonl_path.empty(),
-        "ServiceOptions: stats_jsonl_path requires stats_window_seconds > 0");
-  }
-  for (const obs::SloObjective& o : slos) o.validate();
+      stats_window_seconds > 0.0 || stats_jsonl_path.empty(),
+      "ServiceOptions: stats_jsonl_path requires stats_window_seconds > 0");
 }
 
 namespace detail {
@@ -119,6 +110,20 @@ struct InjectedFault : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+using Clock = std::chrono::steady_clock;
+
+/// The steady-clock time `seconds` (finite, >= 0) from now, or nullopt
+/// (unbounded) when the clock cannot represent it. Converting the double
+/// duration with chrono directly would overflow the clock's int64
+/// nanoseconds from about 9.2e9 s on and turn a long wait into none.
+std::optional<Clock::time_point> deadline_after(double seconds) {
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> headroom = Clock::time_point::max() - now;
+  if (seconds >= headroom.count() - 1.0) return std::nullopt;
+  return now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(seconds));
+}
+
 /// Shard drain order: priority desc, deadline asc (EDF), admission
 /// order. With default metadata this is exactly admission order.
 struct TicketOrder {
@@ -171,19 +176,23 @@ struct FormationService::Shard {
 /// every window eventually closes with exact [k*w, (k+1)*w) bounds.
 struct FormationService::Telemetry {
   Telemetry(obs::MetricRegistry& registry, const ServiceOptions& opt)
-      : window_seconds(opt.stats_window_seconds),
-        next_window_end(opt.stats_window_seconds),
-        series(registry, opt.stats_window_capacity),
-        // Verdicts surface back into the same registry as slo.*
-        // metrics; they land in the *next* window, never their own.
-        slo(opt.slos, &registry) {}
+      : sampler(registry, opt.stats_window_seconds, opt.stats_window_capacity,
+                opt.slos) {
+    if (!opt.stats_jsonl_path.empty()) {
+      jsonl.open(opt.stats_jsonl_path, std::ios::out | std::ios::trunc);
+      svo::detail::require(jsonl.is_open(),
+                           "ServiceOptions: cannot open stats_jsonl_path");
+      sink = [this](const obs::Window& w) {
+        obs::write_window_jsonl(jsonl, w);
+        jsonl << '\n';
+      };
+    }
+  }
 
   std::mutex mu;
-  const double window_seconds;
-  double next_window_end;          // guarded by mu
-  obs::TimeSeries series;          // guarded by mu
-  obs::SloTracker slo;             // guarded by mu
-  std::ofstream jsonl;             // guarded by mu
+  obs::WindowSampler sampler;     // guarded by mu
+  std::ofstream jsonl;            // guarded by mu
+  obs::WindowSampler::Sink sink;  // appends to jsonl; empty without a path
 };
 
 std::uint64_t RequestHandle::id() const noexcept { return ticket_->id; }
@@ -203,15 +212,18 @@ TicketState RequestHandle::wait(std::optional<double> timeout_seconds) const {
   const auto terminal = [&t] {
     return is_terminal(t.state.load(std::memory_order_acquire));
   };
-  std::unique_lock<std::mutex> lock(t.mu);
-  if (!timeout_seconds.has_value()) {
-    t.cv.wait(lock, terminal);
-  } else {
+  std::optional<Clock::time_point> deadline;
+  if (timeout_seconds.has_value()) {
     svo::detail::require(
         std::isfinite(*timeout_seconds) && *timeout_seconds >= 0.0,
         "RequestHandle::wait: timeout_seconds must be finite and >= 0");
-    t.cv.wait_for(lock, std::chrono::duration<double>(*timeout_seconds),
-                  terminal);
+    deadline = deadline_after(*timeout_seconds);
+  }
+  std::unique_lock<std::mutex> lock(t.mu);
+  if (deadline.has_value()) {
+    t.cv.wait_until(lock, *deadline, terminal);
+  } else {
+    t.cv.wait(lock, terminal);
   }
   return t.state.load(std::memory_order_acquire);
 }
@@ -266,12 +278,6 @@ FormationService::FormationService(const core::VoFormationMechanism& mechanism,
   }
   if (options_.stats_window_seconds > 0.0) {
     telemetry_ = std::make_unique<Telemetry>(registry_, options_);
-    if (!options_.stats_jsonl_path.empty()) {
-      telemetry_->jsonl.open(options_.stats_jsonl_path,
-                             std::ios::out | std::ios::trunc);
-      svo::detail::require(telemetry_->jsonl.is_open(),
-                      "ServiceOptions: cannot open stats_jsonl_path");
-    }
   }
 }
 
@@ -283,30 +289,21 @@ FormationService::~FormationService() {
   if (telemetry_) {
     // Flush the tail: close any due windows plus one final partial one
     // so the JSONL feed and SLO accounting cover the whole run.
-    maybe_sample();
     std::lock_guard<std::mutex> lock(telemetry_->mu);
-    const double now = clock_.seconds();
-    if (now > telemetry_->next_window_end - telemetry_->window_seconds) {
-      const obs::Window& w = telemetry_->series.advance(now);
-      telemetry_->slo.evaluate(w);
-      if (telemetry_->jsonl.is_open()) {
-        obs::write_window_jsonl(telemetry_->jsonl, w);
-        telemetry_->jsonl << '\n';
-      }
-    }
+    telemetry_->sampler.finish(clock_.seconds(), telemetry_->sink);
   }
 }
 
 RequestHandle FormationService::submit(const core::FormationRequest& request,
-                                       std::size_t routing_key) {
+                                       const SubmitOptions& options) {
   // Typed scheduling-metadata validation (ServiceOptions style): reject
   // nonsense before a ticket id is burned.
   svo::detail::require(
-      !std::isnan(request.deadline_seconds) && request.deadline_seconds >= 0.0,
-      "FormationRequest: deadline_seconds must be >= 0 (or infinity)");
+      !std::isnan(options.deadline_seconds) && options.deadline_seconds >= 0.0,
+      "SubmitOptions: deadline_seconds must be >= 0 (or infinity)");
   svo::detail::require(
-      request.max_retries <= ServiceOptions::kMaxRetryBudget,
-      "FormationRequest: max_retries exceeds ServiceOptions::kMaxRetryBudget");
+      options.max_retries <= ServiceOptions::kMaxRetryBudget,
+      "SubmitOptions: max_retries exceeds ServiceOptions::kMaxRetryBudget");
 
   const std::uint64_t id =
       next_ticket_.fetch_add(1, std::memory_order_relaxed);
@@ -319,8 +316,8 @@ RequestHandle FormationService::submit(const core::FormationRequest& request,
                               // never advanced by the service
   ticket->candidates = request.candidates;
   ticket->warm = request.warm_start;
-  ticket->priority = request.priority;
-  ticket->max_retries = request.max_retries;
+  ticket->priority = options.priority;
+  ticket->max_retries = options.max_retries;
   ticket->outcome.ticket = id;
 
   // Stamp this ticket's injected faults (pure function of the plan and
@@ -340,7 +337,8 @@ RequestHandle FormationService::submit(const core::FormationRequest& request,
   // and the shard count — same-seed replays land every request on the
   // same shard.
   const std::size_t shard_index =
-      (routing_key == SIZE_MAX ? id : routing_key) % options_.shards;
+      (options.routing_key == SIZE_MAX ? id : options.routing_key) %
+      options_.shards;
   ticket->shard = shard_index;
   ticket->outcome.shard = shard_index;
   Shard& shard = *shards_[shard_index];
@@ -353,7 +351,7 @@ RequestHandle FormationService::submit(const core::FormationRequest& request,
       admitted = true;
       ticket->admitted.reset();
       const double now = clock_.seconds();
-      ticket->deadline_at = now + request.deadline_seconds;  // inf stays inf
+      ticket->deadline_at = now + options.deadline_seconds;  // inf stays inf
       shard.queue.insert(ticket);
       shard.depth.add(1.0);
       outstanding_.fetch_add(1, std::memory_order_relaxed);
@@ -541,7 +539,8 @@ void FormationService::run_tick(Shard& shard) {
   }
   if (stall_seconds > 0.0) {
     stalls_.add();
-    std::this_thread::sleep_for(std::chrono::duration<double>(stall_seconds));
+    std::this_thread::sleep_until(
+        deadline_after(stall_seconds).value_or(Clock::time_point::max()));
   }
   if (abort_tick) {
     tick_aborts_.add();
@@ -723,16 +722,7 @@ void FormationService::maybe_sample() {
   Telemetry& tel = *telemetry_;
   std::unique_lock<std::mutex> lock(tel.mu, std::try_to_lock);
   if (!lock.owns_lock()) return;  // another tick is sampling; skip
-  const double now = clock_.seconds();
-  while (now >= tel.next_window_end) {
-    const obs::Window& w = tel.series.advance(tel.next_window_end);
-    tel.slo.evaluate(w);
-    if (tel.jsonl.is_open()) {
-      obs::write_window_jsonl(tel.jsonl, w);
-      tel.jsonl << '\n';
-    }
-    tel.next_window_end += tel.window_seconds;
-  }
+  tel.sampler.advance(clock_.seconds(), tel.sink);
 }
 
 ServiceHealth FormationService::health(std::size_t last_n) {
@@ -760,27 +750,26 @@ ServiceHealth FormationService::health(std::size_t last_n) {
     h.shards.push_back(sh);
   }
   bool recent_rejects = false;
+  obs::Histogram::Snapshot queue;
+  obs::Histogram::Snapshot solve;
   if (telemetry_) {
     std::lock_guard<std::mutex> lock(telemetry_->mu);
-    h.windows_closed = telemetry_->series.windows_closed();
-    const obs::Window roll = telemetry_->series.rollup(last_n);
-    const obs::Histogram::Snapshot queue = roll.histogram("svc.queue_us");
-    const obs::Histogram::Snapshot solve = roll.histogram("svc.solve_us");
-    h.queue_p50_us = queue.quantile(0.50);
-    h.queue_p99_us = queue.quantile(0.99);
-    h.solve_p50_us = solve.quantile(0.50);
-    h.solve_p99_us = solve.quantile(0.99);
-    h.slos = telemetry_->slo.status();
+    const obs::TimeSeries& series = telemetry_->sampler.series();
+    h.windows_closed = series.windows_closed();
+    const obs::Window roll = series.rollup(last_n);
+    queue = roll.histogram("svc.queue_us");
+    solve = roll.histogram("svc.solve_us");
+    h.slos = telemetry_->sampler.slo().status();
     recent_rejects =
         roll.counter("svc.shed") + roll.counter("svc.deferred") > 0;
   } else {
-    const obs::Histogram::Snapshot queue = queue_us_.snapshot();
-    const obs::Histogram::Snapshot solve = solve_us_.snapshot();
-    h.queue_p50_us = queue.quantile(0.50);
-    h.queue_p99_us = queue.quantile(0.99);
-    h.solve_p50_us = solve.quantile(0.50);
-    h.solve_p99_us = solve.quantile(0.99);
+    queue = queue_us_.snapshot();
+    solve = solve_us_.snapshot();
   }
+  h.queue_p50_us = queue.quantile(0.50);
+  h.queue_p99_us = queue.quantile(0.99);
+  h.solve_p50_us = solve.quantile(0.50);
+  h.solve_p99_us = solve.quantile(0.99);
   h.overloaded = any_full || recent_rejects;
   return h;
 }

@@ -7,9 +7,9 @@
 /// multi-tenant service admitting millions of queued formation requests.
 /// svc::FormationService is that service core:
 ///
-///   submit(FormationRequest) ──► bounded per-shard queue ──► shard tick
-///        (RequestHandle)             (admission control)    (drains ≤ B,
-///                                                            runs solver)
+///   submit(FormationRequest,  ──► bounded per-shard queue ──► shard tick
+///          SubmitOptions)            (admission control)    (drains ≤ B,
+///        (RequestHandle)                                     runs solver)
 ///
 ///  - N independent *shards*, partitioned per-market / per-trust-domain
 ///    by a deterministic routing key (default: ticket id modulo N), each
@@ -33,8 +33,8 @@
 ///    of already-admitted tickets bypass the capacity check: admitted
 ///    work is never lost to its own backoff.
 ///
-/// Degradation contract (§4h): requests carry an optional deadline,
-/// priority and retry budget (core::FormationRequest). A request still
+/// Degradation contract (§4h): submissions carry an optional deadline,
+/// priority and retry budget (SubmitOptions). A request still
 /// queued past its deadline terminates as DeadlineExceeded *before* any
 /// solve. A failed solve — injected by a FaultPlan or a genuine throw —
 /// retries with capped exponential backoff up to the request's budget,
@@ -67,6 +67,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -76,7 +77,6 @@
 
 #include "core/mechanism.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "svc/fault_plan.hpp"
 #include "util/thread_pool.hpp"
@@ -113,8 +113,8 @@ enum class OverloadPolicy {
 /// construction of a FormationService validates and throws
 /// InvalidArgument ("ServiceOptions: ...") on nonsense.
 struct ServiceOptions {
-  /// Upper bound accepted for FormationRequest::max_retries — bounds
-  /// the worst-case backoff chain of a poisoned request.
+  /// Upper bound accepted for SubmitOptions::max_retries — bounds the
+  /// worst-case backoff chain of a poisoned request.
   static constexpr std::uint32_t kMaxRetryBudget = 32;
 
   /// Independent mechanism shards (per-market / per-trust-domain
@@ -166,6 +166,25 @@ struct ServiceOptions {
   /// negative / non-finite stats window, a zero window capacity, SLOs
   /// or a JSONL path with telemetry off, or an invalid SLO objective.
   void validate() const;
+};
+
+/// How the service queues, orders, expires, retries and routes one
+/// request (DESIGN.md §4h); the mechanism never sees it.
+struct SubmitOptions {
+  /// Relative deadline, wall seconds from service admission; infinity =
+  /// none. A request still queued past its deadline terminates as
+  /// DeadlineExceeded *before* any solve; 0 expires at first dispatch
+  /// (the deterministic-expiry idiom tests and benches rely on).
+  double deadline_seconds = std::numeric_limits<double>::infinity();
+  /// Drain order within a shard: higher priority first, then earlier
+  /// deadline (EDF), then admission order.
+  std::int32_t priority = 0;
+  /// Retry budget on a failed solve: up to this many re-attempts with
+  /// capped exponential backoff (ServiceOptions::retry_backoff_*).
+  std::uint32_t max_retries = 0;
+  /// Shard partition key (per-market / per-trust-domain): the shard is
+  /// routing_key % shards; SIZE_MAX routes by ticket id.
+  std::size_t routing_key = SIZE_MAX;
 };
 
 /// Terminal record of one ticket.
@@ -314,14 +333,12 @@ class FormationService {
   /// Submit one formation request. Copies request.rng's *state* (the
   /// caller's generator is not advanced) and request.candidates; the
   /// instance and trust graph are captured by reference and must stay
-  /// alive until the ticket is terminal. `routing_key` partitions the
-  /// request space across shards (per-market / per-trust-domain);
-  /// SIZE_MAX routes by ticket id. Never blocks on solver work: a full
-  /// shard returns an already-terminal Shed/Deferred handle. Throws
-  /// InvalidArgument ("FormationRequest: ...") on a NaN or negative
+  /// alive until the ticket is terminal. Never blocks on solver work: a
+  /// full shard returns an already-terminal Shed/Deferred handle. Throws
+  /// InvalidArgument ("SubmitOptions: ...") on a NaN or negative
   /// deadline or a retry budget above ServiceOptions::kMaxRetryBudget.
   RequestHandle submit(const core::FormationRequest& request,
-                       std::size_t routing_key = SIZE_MAX);
+                       const SubmitOptions& options = {});
 
   /// Start dispatching when constructed with start_paused (idempotent).
   void resume();

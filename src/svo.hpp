@@ -52,7 +52,6 @@
 #include "workload/params.hpp"        // IWYU pragma: export
 
 #include "trust/decay.hpp"        // IWYU pragma: export
-#include "trust/hierarchy.hpp"    // IWYU pragma: export
 #include "trust/propagation.hpp"  // IWYU pragma: export
 #include "trust/reputation.hpp"   // IWYU pragma: export
 #include "trust/trust_graph.hpp"  // IWYU pragma: export

@@ -75,35 +75,6 @@ void dfs_paths(const TrustGraph& g, std::size_t current, std::size_t target,
   }
 }
 
-/// One DFS from `source` serving every target at once: each arrival at a
-/// node v != source multiplies v's complement, then the walk continues
-/// *through* v (v may be an intermediate for other targets). Arrival
-/// events per target — and their order — are exactly those of the
-/// pairwise dfs_paths, whose target subtrees contain no further arrivals
-/// at that target; the products are therefore bit-equal.
-void dfs_all_targets(const TrustGraph& g, std::size_t current,
-                     std::size_t source, double path_trust,
-                     std::size_t hops_left, std::vector<bool>& on_path,
-                     std::vector<double>& complements,
-                     const PropagationOptions& opts) {
-  for (const auto& e : g.graph().out_edges(current)) {
-    if (e.weight <= 0.0) continue;
-    const double w = clamp_weight(e.weight, opts.clamp_to_unit);
-    const double t = compose(path_trust, w, opts.concatenation);
-    // A node already on the current path is neither an arrival (the
-    // pairwise DFS only counts simple paths *ending* at the target) nor
-    // a continuation; this also excludes the source (marked up front).
-    if (on_path[e.to]) continue;
-    complements[e.to] *= 1.0 - std::clamp(t, 0.0, 1.0);
-    if (hops_left > 1) {
-      on_path[e.to] = true;
-      dfs_all_targets(g, e.to, source, t, hops_left - 1, on_path, complements,
-                      opts);
-      on_path[e.to] = false;
-    }
-  }
-}
-
 }  // namespace
 
 std::optional<double> propagate_trust(const TrustGraph& g, std::size_t source,
@@ -154,44 +125,6 @@ linalg::Matrix propagated_matrix(const TrustGraph& g,
     }
   }
   return m;
-}
-
-linalg::SparseMatrix propagated_sparse(const TrustGraph& g,
-                                       const PropagationOptions& opts) {
-  detail::require(opts.max_hops >= 1,
-                  "propagated_sparse: max_hops must be >= 1");
-  const std::size_t n = g.size();
-  std::vector<linalg::Triplet> triplets;
-  if (opts.aggregation == Aggregation::BestPath) {
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::vector<double> best = best_path_from(g, s, opts);
-      for (std::size_t t = 0; t < n; ++t) {
-        if (t != s && best[t] > 0.0) triplets.push_back({s, t, best[t]});
-      }
-    }
-    return linalg::SparseMatrix::from_triplets(n, n, std::move(triplets));
-  }
-  std::vector<double> complements(n, 1.0);
-  std::vector<bool> on_path(n, false);
-  for (std::size_t s = 0; s < n; ++s) {
-    std::fill(complements.begin(), complements.end(), 1.0);
-    on_path[s] = true;
-    const double identity = opts.concatenation == Concatenation::Product
-                                ? 1.0
-                                : std::numeric_limits<double>::infinity();
-    dfs_all_targets(g, s, s, identity, opts.max_hops, on_path, complements,
-                    opts);
-    on_path[s] = false;
-    for (std::size_t t = 0; t < n; ++t) {
-      // complement < 1 iff some path contributed (propagate_trust's
-      // nullopt condition), and then 1 - complement > 0: every stored
-      // entry is a reachable pair.
-      if (t != s && complements[t] != 1.0) {
-        triplets.push_back({s, t, 1.0 - complements[t]});
-      }
-    }
-  }
-  return linalg::SparseMatrix::from_triplets(n, n, std::move(triplets));
 }
 
 }  // namespace svo::trust

@@ -163,21 +163,22 @@ TEST(ChaosServiceTest, SubmitValidatesSchedulingFields) {
   FormationService service(tvof, opt);
   util::Xoshiro256 rng(1);
 
-  core::FormationRequest bad_deadline{f.instance, f.trust, rng};
+  const core::FormationRequest req{f.instance, f.trust, rng};
+  SubmitOptions bad_deadline;
   bad_deadline.deadline_seconds = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(service.submit(bad_deadline), InvalidArgument);
+  EXPECT_THROW(service.submit(req, bad_deadline), InvalidArgument);
   bad_deadline.deadline_seconds = -0.5;
-  EXPECT_THROW(service.submit(bad_deadline), InvalidArgument);
+  EXPECT_THROW(service.submit(req, bad_deadline), InvalidArgument);
 
-  core::FormationRequest bad_budget{f.instance, f.trust, rng};
+  SubmitOptions bad_budget;
   bad_budget.max_retries = ServiceOptions::kMaxRetryBudget + 1;
-  EXPECT_THROW(service.submit(bad_budget), InvalidArgument);
+  EXPECT_THROW(service.submit(req, bad_budget), InvalidArgument);
 
-  core::FormationRequest good{f.instance, f.trust, rng};
+  SubmitOptions good;
   good.deadline_seconds = 3600.0;
   good.priority = -3;
   good.max_retries = ServiceOptions::kMaxRetryBudget;
-  RequestHandle h = service.submit(good);
+  RequestHandle h = service.submit(req, good);
   EXPECT_EQ(h.poll(), TicketState::Queued);
   // Rejected submissions were never admitted.
   EXPECT_EQ(service.stats().submitted, 1u);
@@ -250,9 +251,10 @@ TEST(ChaosServiceTest, InjectedFailureRetriesToBitIdenticalSuccess) {
   opt.retry_backoff_cap_seconds = 0.001;
   FormationService service(tvof, opt);
   util::Xoshiro256 rng(7);
-  core::FormationRequest req{f.instance, f.trust, rng};
-  req.max_retries = 3;
-  RequestHandle h = service.submit(req);
+  SubmitOptions submit;
+  submit.max_retries = 3;
+  RequestHandle h =
+      service.submit(core::FormationRequest{f.instance, f.trust, rng}, submit);
 
   ASSERT_EQ(h.wait(), TicketState::Done);
   const RequestOutcome& out = h.outcome();
@@ -287,9 +289,10 @@ TEST(ChaosServiceTest, PoisonFailsAfterBudgetWithoutHarmingNeighbours) {
   FormationService service(tvof, opt);
 
   util::Xoshiro256 rng_poison(11);
-  core::FormationRequest poisoned{f.instance, f.trust, rng_poison};
+  SubmitOptions poisoned;
   poisoned.max_retries = 2;
-  RequestHandle hp = service.submit(poisoned);
+  RequestHandle hp = service.submit(
+      core::FormationRequest{f.instance, f.trust, rng_poison}, poisoned);
 
   util::Xoshiro256 rng_ok(12);
   RequestHandle ok =
@@ -379,7 +382,9 @@ TEST(ChaosServiceTest, ShardAbortRestartPreservesQueuedRequests) {
 
 /// Satellite regression: a deliberately stalled tick must not wedge a
 /// bounded wait — the timeout returns a live (non-terminal) state, and
-/// the unbounded wait still resolves once the straggler finishes.
+/// the unbounded wait still resolves once the straggler finishes. A
+/// timeout too long for the steady clock (1e12 s) waits like an
+/// unbounded one instead of overflowing into an immediate return.
 TEST(ChaosServiceTest, StalledTickCannotWedgeBoundedWait) {
   const ip::BnbAssignmentSolver solver;
   const core::TvofMechanism tvof(solver);
@@ -394,6 +399,7 @@ TEST(ChaosServiceTest, StalledTickCannotWedgeBoundedWait) {
 
   const TicketState during = h.wait(0.01);  // bounded: returns promptly
   EXPECT_FALSE(is_terminal(during));
+  EXPECT_EQ(h.wait(1e12), TicketState::Done);
   EXPECT_EQ(h.wait(), TicketState::Done);  // unbounded: stall ends
   EXPECT_EQ(service.stats().stalls, 1u);
   EXPECT_EQ(service.metrics().counter_value("svc.stalls"), 1u);
@@ -412,9 +418,10 @@ TEST(DeadlineTest, ZeroDeadlineExpiresBeforeSolve) {
   opt.start_paused = true;
   FormationService service(tvof, opt);
   util::Xoshiro256 rng(1);
-  core::FormationRequest doomed{f.instance, f.trust, rng};
+  SubmitOptions doomed;
   doomed.deadline_seconds = 0.0;
-  RequestHandle expired = service.submit(doomed);
+  RequestHandle expired =
+      service.submit(core::FormationRequest{f.instance, f.trust, rng}, doomed);
   RequestHandle healthy =
       service.submit(core::FormationRequest{f.instance, f.trust, rng});
   service.resume();
@@ -447,10 +454,11 @@ TEST(DeadlineTest, DrainOrderIsPriorityThenEdfThenAdmission) {
   util::Xoshiro256 rng(1);
 
   auto submit = [&](std::int32_t priority, double deadline) {
-    core::FormationRequest req{f.instance, f.trust, rng};
-    req.priority = priority;
-    req.deadline_seconds = deadline;
-    return service.submit(req);
+    SubmitOptions options;
+    options.priority = priority;
+    options.deadline_seconds = deadline;
+    return service.submit(core::FormationRequest{f.instance, f.trust, rng},
+                          options);
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
   RequestHandle a = submit(0, kInf);     // admitted first, drained last
@@ -486,9 +494,10 @@ TEST(ChaosServiceTest, CancelBetweenFailedAttemptAndRetryWins) {
   opt.retry_backoff_cap_seconds = 30.0;
   FormationService service(tvof, opt);
   util::Xoshiro256 rng(9);
-  core::FormationRequest req{f.instance, f.trust, rng};
-  req.max_retries = 8;
-  RequestHandle h = service.submit(req);
+  SubmitOptions submit;
+  submit.max_retries = 8;
+  RequestHandle h =
+      service.submit(core::FormationRequest{f.instance, f.trust, rng}, submit);
 
   // Wait until the first attempt has failed and its retry is parked.
   for (int spin = 0; spin < 4000 && service.stats().retries == 0; ++spin) {
@@ -554,9 +563,10 @@ TEST(ChaosServiceTest, SameSeedChaoticReplayIsIdentical) {
     std::vector<RequestHandle> handles;
     for (std::size_t i = 0; i < kRequests; ++i) {
       util::Xoshiro256 rng(3000 + i * 13);
-      core::FormationRequest req{f.instance, f.trust, rng};
-      req.max_retries = 3;
-      handles.push_back(service.submit(req));
+      SubmitOptions submit;
+      submit.max_retries = 3;
+      handles.push_back(service.submit(
+          core::FormationRequest{f.instance, f.trust, rng}, submit));
     }
     service.drain();
     for (const RequestHandle& h : handles) {
@@ -634,10 +644,11 @@ TEST(ChaosServiceTest, ChaoticOutcomesArePinned) {
   std::vector<RequestHandle> handles;
   for (std::size_t i = 0; i < kRequests; ++i) {
     util::Xoshiro256 rng(5000 + i);
-    core::FormationRequest req{f.instance, f.trust, rng};
-    req.max_retries = 2;
-    if (i % 5 == 4) req.deadline_seconds = 0.0;
-    handles.push_back(service.submit(req));
+    SubmitOptions submit;
+    submit.max_retries = 2;
+    if (i % 5 == 4) submit.deadline_seconds = 0.0;
+    handles.push_back(service.submit(
+        core::FormationRequest{f.instance, f.trust, rng}, submit));
   }
   service.resume();
   service.drain();
@@ -723,10 +734,11 @@ TEST(ChaosServiceTest, NoAdmittedRequestLostUnderHeavyChaos) {
   std::vector<RequestHandle> handles;
   for (std::size_t i = 0; i < kRequests; ++i) {
     util::Xoshiro256 rng(7000 + i);
-    core::FormationRequest req{f.instance, f.trust, rng};
-    req.max_retries = 1;
-    if (i % 3 == 2) req.deadline_seconds = 0.0;  // expires at dispatch
-    handles.push_back(service.submit(req));
+    SubmitOptions submit;
+    submit.max_retries = 1;
+    if (i % 3 == 2) submit.deadline_seconds = 0.0;  // expires at dispatch
+    handles.push_back(service.submit(
+        core::FormationRequest{f.instance, f.trust, rng}, submit));
   }
   service.drain();
 

@@ -390,8 +390,10 @@ TEST(FormationServiceTest, RoutingKeyPartitionsDeterministically) {
   FormationService service(tvof, opt);
   util::Xoshiro256 rng(1);
   for (std::size_t key = 0; key < 9; ++key) {
-    RequestHandle h = service.submit(
-        core::FormationRequest{f.instance, f.trust, rng}, /*routing_key=*/key);
+    SubmitOptions submit;
+    submit.routing_key = key;
+    RequestHandle h =
+        service.submit(core::FormationRequest{f.instance, f.trust, rng}, submit);
     EXPECT_EQ(h.shard(), key % 4) << "key " << key;
   }
   // Default routing: dense ticket ids round-robin the shards.

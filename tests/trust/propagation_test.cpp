@@ -124,63 +124,5 @@ TEST(PropagatedMatrixTest, MatchesPairwiseQueries) {
   }
 }
 
-/// The CSR twin is bit-equal to the dense propagation matrix — same
-/// simple-path enumeration order, same arithmetic — across aggregation
-/// modes, concatenation modes and hop limits.
-TEST(PropagatedSparseTest, ToDenseEqualsPropagatedMatrixBitwise) {
-  util::Xoshiro256 rng(7331);
-  for (int trial = 0; trial < 8; ++trial) {
-    const std::size_t n = 2 + rng.index(10);
-    const TrustGraph g = random_trust_graph(n, rng.uniform(0.1, 0.5), rng);
-    for (const Aggregation agg :
-         {Aggregation::BestPath, Aggregation::ProbabilisticOr}) {
-      for (const Concatenation cat :
-           {Concatenation::Product, Concatenation::Minimum}) {
-        for (const std::size_t hops : {std::size_t{1}, std::size_t{3}}) {
-          PropagationOptions opts;
-          opts.aggregation = agg;
-          opts.concatenation = cat;
-          opts.max_hops = hops;
-          const linalg::Matrix dense = propagated_matrix(g, opts);
-          const linalg::Matrix sparse = propagated_sparse(g, opts).to_dense();
-          for (std::size_t s = 0; s < n; ++s) {
-            for (std::size_t t = 0; t < n; ++t) {
-              EXPECT_EQ(sparse(s, t), dense(s, t))
-                  << "n=" << n << " agg=" << static_cast<int>(agg)
-                  << " cat=" << static_cast<int>(cat) << " hops=" << hops
-                  << " (" << s << "," << t << ")";
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(PropagatedSparseTest, EdgeCases) {
-  // Empty graph and single node: no paths, empty CSR.
-  PropagationOptions por;
-  por.aggregation = Aggregation::ProbabilisticOr;
-  EXPECT_EQ(propagated_sparse(TrustGraph(0), por).nnz(), 0u);
-  EXPECT_EQ(propagated_sparse(TrustGraph(1), por).nnz(), 0u);
-
-  // Disconnected components never reach each other: the cross-component
-  // blocks stay structurally zero.
-  TrustGraph g(4);
-  g.set_trust(0, 1, 0.8);
-  g.set_trust(2, 3, 0.6);
-  for (const Aggregation agg :
-       {Aggregation::BestPath, Aggregation::ProbabilisticOr}) {
-    PropagationOptions opts;
-    opts.aggregation = agg;
-    const linalg::SparseMatrix m = propagated_sparse(g, opts);
-    EXPECT_EQ(m.nnz(), 2u);
-    EXPECT_EQ(m.at(0, 1), 0.8);
-    EXPECT_EQ(m.at(2, 3), 0.6);
-    EXPECT_EQ(m.at(0, 2), 0.0);
-    EXPECT_EQ(m.at(1, 3), 0.0);
-  }
-}
-
 }  // namespace
 }  // namespace svo::trust

@@ -13,12 +13,16 @@
 #   tools/run_sanitizers.sh -R FaultInjector
 #
 # --tsan uses the `tsan` preset (build-tsan/ tree, -fsanitize=thread),
-# builds only the test binaries its labels run, and fails on any report.
-# It runs every test of the service and stream suites (suite_svc,
-# suite_sim: the service's submit/cancel/drain and chaos retry/restart
-# paths, its telemetry sampler, the stream engine) plus the thread-
-# crossing slices of the others: the telemetry registry stress, the
-# recorder, and the pooled gather spmv.
+# builds only the test binaries its labels run and the two service
+# soaks, and fails on any report. It runs every test of the service and
+# stream suites (suite_svc, suite_sim: the service's submit/cancel/drain
+# and chaos retry/restart paths, its telemetry sampler, the stream
+# engine) plus the thread-crossing slices of the others: the telemetry
+# registry stress, the recorder, and the pooled gather spmv. Then it
+# runs the soaks: bench_service_chaos (retries, restarts and cancels
+# across 4 shards) and bench_telemetry (the service's window sampler at
+# 1 ms windows from 2 shard threads), each from a temporary directory
+# because each writes its BENCH_*.json to the working directory.
 set -euo pipefail
 
 mode=asan
@@ -35,11 +39,19 @@ cd "$(dirname "$0")/.."
 if [[ "$mode" == "tsan" ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)" --target svo_linalg_tests \
-    svo_trust_tests svo_svc_tests svo_obs_tests svo_sim_tests
+    svo_trust_tests svo_svc_tests svo_obs_tests svo_sim_tests \
+    bench_service_chaos bench_telemetry
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
   ctest --preset tsan --output-on-failure \
     -L 'suite_svc|suite_sim|smoke_trust_scale|smoke_telemetry|smoke_observability' \
     "$@"
+  bench_dir="$PWD/build-tsan/bench"
+  soak_dir="$(mktemp -d)"
+  trap 'rm -rf "$soak_dir"' EXIT
+  for soak in bench_service_chaos bench_telemetry; do
+    echo "== $soak under ThreadSanitizer"
+    (cd "$soak_dir" && "$bench_dir/$soak")
+  done
   exit 0
 fi
 
