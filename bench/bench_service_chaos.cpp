@@ -22,6 +22,10 @@
 ///  - queue p99 under chaos and under a shed-mode overload run
 ///    (capacity a quarter of the burst): machine-bound wall clock,
 ///    informational.
+///
+/// Exits non-zero, naming the counts, when the soak or the replay fired
+/// a number of stalls plus tick aborts other than the plan's tick
+/// faults, or restarted a number of shards other than its aborts.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -222,6 +226,25 @@ int main() {
   for (std::size_t i = 0; replay_identical && i < soak.outcomes.size(); ++i) {
     replay_identical = outcomes_identical(soak.outcomes[i], replay.outcomes[i]);
   }
+  // Both runs admit every request and cancel none, so each planned tick
+  // fault fires exactly once, whatever the batching, and every abort is
+  // restarted.
+  bool faults_fired_as_planned = true;
+  for (const ChaosRun* run : {&soak, &replay}) {
+    const svc::ServiceStats& st = run->stats;
+    if (st.tick_aborts + st.stalls != plan.tick_faults.size() ||
+        st.restarts != st.tick_aborts) {
+      faults_fired_as_planned = false;
+      std::fprintf(stderr,
+                   "  %s: %llu tick aborts + %llu stalls fired for %zu "
+                   "planned tick faults, %llu restarts\n",
+                   run == &soak ? "soak" : "replay",
+                   static_cast<unsigned long long>(st.tick_aborts),
+                   static_cast<unsigned long long>(st.stalls),
+                   plan.tick_faults.size(),
+                   static_cast<unsigned long long>(st.restarts));
+    }
+  }
 
   // Overload: the same chaos against a queue a quarter of the burst,
   // shedding beyond capacity — p99 under shed pressure (informational;
@@ -307,7 +330,8 @@ int main() {
   report.write();
 
   const bool ok = soak.requests_lost == 0 && overload.requests_lost == 0 &&
-                  replay_identical && faults_off_identical;
+                  replay_identical && faults_off_identical &&
+                  faults_fired_as_planned;
   std::printf(
       "\nacceptance: zero lost requests: %s; same-seed chaotic replay "
       "identical: %s; faults-off bit-identical to direct runs: %s; retry "

@@ -9,7 +9,6 @@
 #include "ip/solve_kernel.hpp"
 #include "ip/warm_start.hpp"
 #include "obs/trace.hpp"
-#include "util/timer.hpp"
 
 namespace svo::ip {
 
@@ -24,13 +23,9 @@ constexpr double kEps = 1e-9;
 /// task's contiguous rows.
 class Search {
  public:
-  /// `clock` started at solve entry; `opts.time_limit_seconds` is
-  /// measured on it.
-  Search(const SolveKernel& kernel, const BnbOptions& opts,
-         const util::WallTimer& clock)
+  Search(const SolveKernel& kernel, const BnbOptions& opts)
       : kernel_(kernel),
         opts_(opts),
-        clock_(clock),
         k_(kernel.num_gsps()),
         n_(kernel.num_tasks()),
         deadline_(kernel.deadline()),
@@ -85,15 +80,6 @@ class Search {
   [[nodiscard]] double root_bound() const noexcept { return suffix_min_[0]; }
 
  private:
-  bool budget_exhausted() {
-    if (nodes_ >= opts_.max_nodes) return true;
-    if (opts_.time_limit_seconds > 0.0 && (nodes_ & 1023U) == 0 &&
-        clock_.seconds() > opts_.time_limit_seconds) {
-      return true;
-    }
-    return false;
-  }
-
   void dfs(std::size_t depth, double cost_so_far) {
     if (truncated_) return;
     if (depth == n_) {
@@ -126,7 +112,7 @@ class Search {
       if (remaining_after < empties_after) continue;  // (13) unreachable
 
       ++nodes_;
-      if (budget_exhausted()) {
+      if (nodes_ >= opts_.max_nodes) {
         truncated_ = true;
         return;
       }
@@ -144,7 +130,6 @@ class Search {
 
   const SolveKernel& kernel_;
   const BnbOptions& opts_;
-  const util::WallTimer& clock_;
   std::size_t k_;
   std::size_t n_;
   double deadline_;
@@ -178,9 +163,6 @@ AssignmentSolution BnbAssignmentSolver::solve(const AssignmentInstance& inst,
 
 AssignmentSolution BnbAssignmentSolver::solve_impl(
     const AssignmentInstance& inst, const WarmStart* warm) const {
-  // The time budget covers the whole solve, validation and set-up
-  // included; a kernel handed in by the caller was set up before entry.
-  const util::WallTimer clock;
   obs::Span span("ip.bnb.solve", "ip");
 
   // Read the hint's kernel when it describes `inst`; otherwise build one,
@@ -208,7 +190,7 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
   if (opts_.warm_max_nodes > 0 && (kernel->derived() || warm_incumbent_ok)) {
     effective.max_nodes = std::min(effective.max_nodes, opts_.warm_max_nodes);
   }
-  Search search(*kernel, effective, clock);
+  Search search(*kernel, effective);
 
   AssignmentSolution sol;
   // Warm incumbent first: a repaired previous mapping is typically

@@ -2,7 +2,7 @@
 /// Specialized depth-first branch-and-bound for the task assignment IP
 /// (9)-(14) — the workhorse behind TVOF's "IP-B&B" step (Algorithm 1,
 /// line 5). Exact with proof on small instances; anytime (greedy-seeded,
-/// node/time budgeted) at paper scale. See DESIGN.md §1 and §4.4.
+/// node budgeted) at paper scale. See DESIGN.md §1 and §4.4.
 ///
 /// Search organization:
 ///  - every phase reads one task-major SolveKernel (ip/solve_kernel.hpp),
@@ -22,7 +22,9 @@ namespace svo::ip {
 
 /// Options for the B&B solver.
 struct BnbOptions {
-  /// Node budget; exceeding it makes the result anytime (no proof).
+  /// Node budget; exceeding it makes the result anytime (no proof). The
+  /// only budget: counting nodes, not seconds, keeps a solve's result
+  /// and work the same on every host.
   std::size_t max_nodes = 500'000;
   /// Node budget (0 = use max_nodes) for warm solves, which read a
   /// derived kernel or accepted a warm incumbent: they re-verify an
@@ -33,11 +35,6 @@ struct BnbOptions {
   /// regime) are bit-identical to cold; truncated ones keep the warm
   /// incumbent.
   std::size_t warm_max_nodes = 0;
-  /// Wall-clock budget in seconds, measured from entry into solve():
-  /// validation, kernel build and the greedy seed count against it, not
-  /// only the search; a warm hint's kernel is set up before entry and
-  /// does not. Checked every 1024 nodes; 0 disables the check.
-  double time_limit_seconds = 0.0;
   /// Seed the incumbent with greedy construction + local search.
   bool seed_with_greedy = true;
   /// Local-search options used to polish the greedy seed.

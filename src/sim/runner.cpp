@@ -29,25 +29,6 @@ ExperimentRunner::PairResult ExperimentRunner::run_pair(
   return pr;
 }
 
-ExperimentRunner::DistributedPairResult ExperimentRunner::run_pair_distributed(
-    const Scenario& scenario, const core::ProtocolOptions& options) const {
-  const ExperimentConfig& cfg = config();
-  const ip::BnbAssignmentSolver solver(cfg.solver);
-  const core::TvofMechanism tvof(solver, cfg.mechanism);
-  const core::RvofMechanism rvof(solver, cfg.mechanism);
-
-  DistributedPairResult pr;
-  util::Xoshiro256 tvof_rng(scenario.tvof_seed);
-  pr.tvof = core::run_distributed(tvof, scenario.instance.assignment,
-                                  scenario.trust, tvof_rng, options);
-  if (cfg.run_rvof) {
-    util::Xoshiro256 rvof_rng(scenario.rvof_seed);
-    pr.rvof = core::run_distributed(rvof, scenario.instance.assignment,
-                                    scenario.trust, rvof_rng, options);
-  }
-  return pr;
-}
-
 SweepResult ExperimentRunner::run_sweep(const RunObserver& observer) const {
   const ExperimentConfig& cfg = config();
   obs::Span sweep_span("sim.sweep", "sim");

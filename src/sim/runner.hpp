@@ -7,7 +7,7 @@
 
 #include <functional>
 
-#include "core/distributed_tvof.hpp"
+#include "core/mechanism.hpp"
 #include "sim/scenario.hpp"
 #include "util/stats.hpp"
 
@@ -54,19 +54,6 @@ class ExperimentRunner {
     core::MechanismResult rvof;
   };
   [[nodiscard]] PairResult run_pair(const Scenario& scenario) const;
-
-  /// Run both mechanisms on one scenario under the trusted-party
-  /// protocol (core/distributed_tvof), surfacing the ProtocolMetrics —
-  /// including the fault/recovery counters — next to each decision.
-  /// With `options.faults` all-zero the decisions are identical to
-  /// run_pair() on the same scenario.
-  struct DistributedPairResult {
-    core::DistributedRunResult tvof;
-    core::DistributedRunResult rvof;
-  };
-  [[nodiscard]] DistributedPairResult run_pair_distributed(
-      const Scenario& scenario,
-      const core::ProtocolOptions& options = {}) const;
 
   [[nodiscard]] const ScenarioFactory& scenarios() const noexcept {
     return factory_;

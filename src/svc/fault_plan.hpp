@@ -15,13 +15,17 @@
 ///    `attempts` attempts. `kPoison` means *every* attempt throws — a
 ///    queue-poison request that can never succeed and must burn its
 ///    retry budget to a terminal Failed without harming its neighbours.
-///  - TickFault/Abort: the shard tick that first picks up the ticket
-///    dies mid-tick, after draining its batch but before running any of
-///    it — the killed shard is detected, its batch re-queued intact,
-///    and a supervisor restart brings it back (svc.restarts).
-///  - TickFault/Stall: a straggler tick — the batch carrying the ticket
-///    runs late by `stall_seconds` (exercises bounded RequestHandle::
-///    wait timeouts and deadline expiry).
+///  - TickFault/Abort: the shard tick that first reaches the ticket dies
+///    there. Tickets earlier in its batch have run; the ticket and the
+///    rest of the batch go back to the queue, and a supervisor restart
+///    brings the killed shard back (svc.restarts).
+///  - TickFault/Stall: a straggler — the tick that first reaches the
+///    ticket sleeps `stall_seconds` before running it and the rest of
+///    its batch (exercises bounded RequestHandle::wait timeouts and
+///    deadline expiry).
+///
+/// A ticket's tick fault fires once, whatever batch it rides in, so the
+/// stall, abort and restart counts follow from the plan alone.
 ///
 /// An empty plan is the hard equivalence point: with no faults
 /// configured the service is bit-identical to the un-chaosed PR 7
@@ -43,17 +47,17 @@ struct SolverFault {
   std::uint32_t attempts = 1;
 };
 
-/// What happens to the shard tick that first drains the marked ticket.
+/// What happens to the shard tick that first reaches the marked ticket.
 enum class TickFaultKind {
-  Abort,  ///< the tick dies mid-batch; the shard is killed + restarted
-  Stall,  ///< straggler tick: the batch runs `stall_seconds` late
+  Abort,  ///< the tick dies at the ticket; the shard is killed + restarted
+  Stall,  ///< straggler: the ticket and the rest of its batch run late
 };
 
 /// Human-readable name ("abort", "stall").
 [[nodiscard]] const char* to_string(TickFaultKind kind) noexcept;
 
-/// One injected tick fault, keyed by the ticket whose first drain
-/// triggers it. Fires exactly once (the re-queued batch is not
+/// One injected tick fault, keyed by the ticket whose first dispatch
+/// triggers it. Fires exactly once (a re-queued ticket is not
 /// re-struck), so chaotic runs always terminate.
 struct TickFault {
   std::uint64_t ticket = 0;

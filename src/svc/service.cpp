@@ -55,9 +55,10 @@ void ServiceOptions::validate() const {
 
 namespace detail {
 
-/// Shared state behind one RequestHandle. The outcome is written before
-/// the terminal state is published under `mu`, so any thread that
-/// observed a terminal poll() may read the outcome without further
+/// Shared state behind one RequestHandle. Every state change goes
+/// through FormationService::transition, which writes the outcome before
+/// it publishes a terminal state under `mu`, so any thread that observed
+/// a terminal poll() may read the outcome without further
 /// synchronization.
 struct Ticket {
   std::uint64_t id = 0;
@@ -76,6 +77,7 @@ struct Ticket {
 
   // Scheduling metadata (§4h). Absolute times on the service clock.
   std::int32_t priority = 0;
+  double admitted_at = 0.0;
   double deadline_at = std::numeric_limits<double>::infinity();
   double ready_at = 0.0;  ///< earliest dispatch (retry backoff)
   std::uint32_t max_retries = 0;
@@ -86,12 +88,10 @@ struct Ticket {
 
   // Injected chaos stamped at submit (fault_plan.hpp), keyed by id.
   std::uint32_t injected_failures = 0;  ///< attempts that throw (kPoison)
-  bool has_tick_fault = false;
-  TickFaultKind tick_fault_kind = TickFaultKind::Stall;
-  double tick_fault_stall = 0.0;
-  bool tick_fault_fired = false;  ///< owned by the shard tick
+  /// Fires when the shard tick first reaches this ticket, then resets;
+  /// owned by the shard tick.
+  std::optional<TickFault> tick_fault;
 
-  util::WallTimer admitted;  ///< reset when the ticket enters its queue
   std::atomic<TicketState> state{TicketState::Queued};
   std::mutex mu;
   std::condition_variable cv;
@@ -154,6 +154,15 @@ struct FormationService::Shard {
         restarts(registry.counter(prefix + ".restarts")),
         depth(registry.gauge(prefix + ".queue_depth")) {}
 
+  /// Call under mu. Claims the shard's one tick when it has queued work,
+  /// is neither paused nor killed, and no tick is in flight; true means
+  /// the caller must schedule_tick().
+  bool claim_tick(bool paused) {
+    if (queue.empty() || paused || killed || tick_scheduled) return false;
+    tick_scheduled = true;
+    return true;
+  }
+
   std::size_t index;
   std::mutex mu;
   std::multiset<std::shared_ptr<Ticket>, TicketOrder> queue;  // guarded by mu
@@ -204,6 +213,9 @@ TicketState RequestHandle::poll() const noexcept {
 }
 
 bool RequestHandle::cancel() const {
+  // A terminal ticket never reaches the service: the handle may have
+  // outlived it, and its destructor left every admitted ticket terminal.
+  if (done()) return false;
   return ticket_->service->cancel_ticket(ticket_);
 }
 
@@ -294,6 +306,32 @@ FormationService::~FormationService() {
   }
 }
 
+template <class Effects>
+bool FormationService::transition(Ticket& t, TicketState from, TicketState to,
+                                  Effects&& effects) {
+  const bool terminal = is_terminal(to);
+  {
+    std::lock_guard<std::mutex> lock(t.mu);
+    if (t.state.load(std::memory_order_acquire) != from) return false;
+    // Accounting happens-before the publication: a waiter woken by a
+    // terminal state must already see consistent stats().
+    effects(t.outcome);
+    if (terminal) {
+      t.outcome.state = to;
+      t.outcome.attempts = t.attempts;
+    }
+    t.state.store(to, std::memory_order_release);
+  }
+  if (terminal) {
+    t.cv.notify_all();
+    // Shed and Deferred tickets were never admitted.
+    if (to != TicketState::Shed && to != TicketState::Deferred) {
+      note_terminal();
+    }
+  }
+  return true;
+}
+
 RequestHandle FormationService::submit(const core::FormationRequest& request,
                                        const SubmitOptions& options) {
   // Typed scheduling-metadata validation (ServiceOptions style): reject
@@ -328,9 +366,7 @@ RequestHandle FormationService::submit(const core::FormationRequest& request,
   }
   if (const auto it = tick_faults_by_ticket_.find(id);
       it != tick_faults_by_ticket_.end()) {
-    ticket->has_tick_fault = true;
-    ticket->tick_fault_kind = it->second.kind;
-    ticket->tick_fault_stall = it->second.stall_seconds;
+    ticket->tick_fault = it->second;
   }
 
   // Deterministic routing: a pure function of (routing key | ticket id)
@@ -349,31 +385,22 @@ RequestHandle FormationService::submit(const core::FormationRequest& request,
     std::lock_guard<std::mutex> lock(shard.mu);
     if (shard.queue.size() < options_.queue_capacity) {
       admitted = true;
-      ticket->admitted.reset();
-      const double now = clock_.seconds();
-      ticket->deadline_at = now + options.deadline_seconds;  // inf stays inf
+      ticket->admitted_at = clock_.seconds();
+      ticket->deadline_at =
+          ticket->admitted_at + options.deadline_seconds;  // inf stays inf
       shard.queue.insert(ticket);
       shard.depth.add(1.0);
       outstanding_.fetch_add(1, std::memory_order_relaxed);
-      if (!paused_.load() && !shard.tick_scheduled && !shard.killed) {
-        shard.tick_scheduled = true;
-        schedule = true;
-      }
+      schedule = shard.claim_tick(paused_.load());
     }
   }
   if (!admitted) {
     // Batched admission control: reject at the door, before any solver
     // work. Shed is terminal-dropped; Deferred is terminal-retryable.
-    const TicketState state = options_.overload == OverloadPolicy::Shed
-                                  ? TicketState::Shed
-                                  : TicketState::Deferred;
-    (state == TicketState::Shed ? shed_ : deferred_).add();
-    {
-      std::lock_guard<std::mutex> lock(ticket->mu);
-      ticket->outcome.state = state;
-      ticket->state.store(state, std::memory_order_release);
-    }
-    ticket->cv.notify_all();
+    const bool shed = options_.overload == OverloadPolicy::Shed;
+    transition(*ticket, TicketState::Queued,
+               shed ? TicketState::Shed : TicketState::Deferred,
+               [&](RequestOutcome&) { (shed ? shed_ : deferred_).add(); });
     return RequestHandle(std::move(ticket));
   }
   submitted_.add();
@@ -383,38 +410,27 @@ RequestHandle FormationService::submit(const core::FormationRequest& request,
 
 bool FormationService::cancel_ticket(
     const std::shared_ptr<detail::Ticket>& ticket) {
-  Ticket& t = *ticket;
-  {
-    std::lock_guard<std::mutex> lock(t.mu);
-    if (t.state.load(std::memory_order_acquire) != TicketState::Queued) {
-      return false;  // dispatched, already terminal, or lost the race
-    }
-    // Queued covers both never-dispatched tickets and tickets parked
-    // between a failed attempt and their scheduled retry — in both
-    // cases the cancel wins and the solver never runs (again).
-    cancelled_.add();  // accounted before the terminal publication
-    t.outcome.state = TicketState::Cancelled;
-    t.outcome.attempts = t.attempts;
-    t.state.store(TicketState::Cancelled, std::memory_order_release);
-  }
-  t.cv.notify_all();
-  // Pull the carcass out of its shard's queue so a parked retry cannot
-  // keep the shard's tick loop alive. Racing ticks are fine either way:
-  // a tick that pops it first observes the terminal state and skips it.
-  {
-    Shard& shard = *shards_[t.shard];
+  // Queued covers both never-dispatched tickets and tickets parked
+  // between a failed attempt and their scheduled retry — in both cases
+  // the cancel wins and the solver never runs (again). Anything else was
+  // dispatched, is already terminal, or lost the race.
+  return transition(*ticket, TicketState::Queued, TicketState::Cancelled,
+                    [&](RequestOutcome&) {
+    cancelled_.add();
+    // Pull the carcass out of its shard's queue so a parked retry cannot
+    // keep the shard's tick loop alive. A tick that popped it first
+    // finds it Cancelled and skips it.
+    Shard& shard = *shards_[ticket->shard];
     std::lock_guard<std::mutex> lock(shard.mu);
     auto [lo, hi] = shard.queue.equal_range(ticket);
     for (auto it = lo; it != hi; ++it) {
-      if (it->get() == &t) {
+      if (it->get() == ticket.get()) {
         shard.queue.erase(it);
         shard.depth.add(-1.0);
         break;
       }
     }
-  }
-  note_terminal();
-  return true;
+  });
 }
 
 void FormationService::resume() {
@@ -426,10 +442,7 @@ void FormationService::resume() {
     bool schedule = false;
     {
       std::lock_guard<std::mutex> lock(shard->mu);
-      if (!shard->queue.empty() && !shard->tick_scheduled && !shard->killed) {
-        shard->tick_scheduled = true;
-        schedule = true;
-      }
+      schedule = shard->claim_tick(paused_.load());
     }
     if (schedule) schedule_tick(*shard);
   }
@@ -470,10 +483,7 @@ void FormationService::restart_shard(Shard& shard) {
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       shard.killed = false;
-      if (!shard.queue.empty() && !paused_.load() && !shard.tick_scheduled) {
-        shard.tick_scheduled = true;
-        schedule = true;
-      }
+      schedule = shard.claim_tick(paused_.load());
     }
     restarts_.add();
     shard.restarts.add();
@@ -517,174 +527,34 @@ void FormationService::run_tick(Shard& shard) {
     tick_span.arg("batch", static_cast<double>(batch.size()));
   }
 
-  // Injected tick faults, keyed by the tickets this batch carries and
-  // fired exactly once per ticket. A stall delays the whole batch (the
-  // straggler tick); an abort kills the shard before any of the batch
-  // runs — the batch goes back intact and the supervisor restarts us.
-  bool abort_tick = false;
-  double stall_seconds = 0.0;
-  for (const std::shared_ptr<Ticket>& ticket : batch) {
-    if (!ticket->has_tick_fault || ticket->tick_fault_fired) continue;
-    ticket->tick_fault_fired = true;  // owned by this (single) tick
-    if (ticket->tick_fault_kind == TickFaultKind::Abort) {
-      abort_tick = true;
-    } else {
-      stall_seconds = ticket->tick_fault_stall;
-    }
-    // At most one tick fault fires per tick: an aborted batch is
-    // re-queued and re-popped, so any other marked ticket strikes a
-    // *later* tick — fault counts stay independent of how tickets
-    // happen to group into batches (the replay-identical invariant).
-    break;
-  }
-  if (stall_seconds > 0.0) {
-    stalls_.add();
-    std::this_thread::sleep_until(
-        deadline_after(stall_seconds).value_or(Clock::time_point::max()));
-  }
-  if (abort_tick) {
-    tick_aborts_.add();
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.depth.add(static_cast<double>(batch.size()));
-      for (std::shared_ptr<Ticket>& ticket : batch) {
-        shard.queue.insert(std::move(ticket));  // preserved, not lost
-      }
-      shard.killed = true;
-      shard.tick_scheduled = false;  // the worker is dead
-    }
-    restart_shard(shard);
-    return;
-  }
-
-  for (const std::shared_ptr<Ticket>& ticket : batch) {
-    Ticket& t = *ticket;
-    const double now = clock_.seconds();
-    if (t.deadline_at <= now) {
-      // Deadline-aware scheduling: expire *before* wasting a solve.
-      std::lock_guard<std::mutex> lock(t.mu);
-      if (t.state.load(std::memory_order_acquire) != TicketState::Queued) {
-        continue;  // cancelled while queued
-      }
-      expired_.add();
-      shard.expired.add();
-      t.outcome.state = TicketState::DeadlineExceeded;
-      t.outcome.attempts = t.attempts;
-      t.outcome.queue_seconds = t.admitted.seconds();
-      t.state.store(TicketState::DeadlineExceeded, std::memory_order_release);
-      t.cv.notify_all();
-      note_terminal();
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(t.mu);
-      if (t.state.load(std::memory_order_acquire) != TicketState::Queued) {
-        continue;  // cancelled while queued: its solver never runs
-      }
-      t.state.store(TicketState::Running, std::memory_order_release);
-    }
-    const double queue_seconds = t.admitted.seconds();
-    ++t.attempts;
-    if (t.outcome.dispatch_seq == 0) {
-      t.outcome.dispatch_seq =
-          next_dispatch_.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-    const util::WallTimer solve_timer;
-    core::MechanismResult result;
-    util::Xoshiro256 attempt_rng = t.rng;  // pristine snapshot per attempt
-    bool attempt_ok = true;
-    std::string attempt_error;
-    {
-      obs::Span solve_span("svc.request.solve", "svc");
-      if (solve_span.active()) {
-        solve_span.arg("ticket", static_cast<double>(t.id));
-        solve_span.arg("shard", static_cast<double>(shard.index));
-        solve_span.arg("attempt", static_cast<double>(t.attempts));
-      }
-      try {
-        if (t.injected_failures == SolverFault::kPoison ||
-            t.attempts <= t.injected_failures) {
-          throw InjectedFault("injected solver fault (ticket " +
-                              std::to_string(t.id) + ", attempt " +
-                              std::to_string(t.attempts) + ")");
-        }
-        result = mechanism_.run(core::FormationRequest{
-            *t.instance, *t.trust, attempt_rng, t.candidates, t.warm});
-      } catch (const std::exception& e) {
-        attempt_ok = false;
-        attempt_error = e.what();
-      }
-    }
-    const double solve_seconds = solve_timer.seconds();
-    // All accounting happens-before the terminal publication: a waiter
-    // woken by the state change must already see consistent stats().
-    solver_runs_.add();
-
-    if (!attempt_ok) {
-      if (t.attempts <= t.max_retries) {
-        // Budget left: park the ticket back in its queue with capped
-        // exponential backoff. State returns to Queued *before* the
-        // re-insert, so a cancel landing between this failed attempt
-        // and the retry finds a cancellable ticket and wins.
-        retries_.add();
-        shard.retries.add();
-        redelivery_depth_.observe(static_cast<double>(t.attempts));
-        const double backoff = std::min(
-            options_.retry_backoff_cap_seconds,
-            options_.retry_backoff_base_seconds *
-                static_cast<double>(1ULL << std::min<std::uint32_t>(
-                                        t.attempts - 1, 62)));
-        {
-          std::lock_guard<std::mutex> lock(t.mu);
-          t.state.store(TicketState::Queued, std::memory_order_release);
-        }
-        {
-          // Re-check under the shard lock: a cancel that landed between
-          // the state flip above and this insert already finalized the
-          // ticket (and found nothing to erase) — don't resurrect it.
-          std::lock_guard<std::mutex> lock(shard.mu);
-          if (t.state.load(std::memory_order_acquire) ==
-              TicketState::Queued) {
-            t.ready_at = clock_.seconds() + backoff;
-            shard.queue.insert(ticket);  // retries bypass admission control
-            shard.depth.add(1.0);
-          }
-        }
-        continue;
-      }
-      // Budget exhausted: typed terminal failure, never a hung handle.
-      failed_.add();
-      redelivery_depth_.observe(static_cast<double>(t.attempts));
+  // A ticket's injected tick fault fires when the tick reaches it, once,
+  // whatever batch it rides in. A stall delays that ticket and the rest
+  // of the batch. An abort kills the shard at that ticket: it and every
+  // ticket of the batch not yet run go back to the queue, and the
+  // supervisor restarts the shard.
+  for (auto it = batch.begin(); it != batch.end(); ++it) {
+    const std::optional<TickFault> fault =
+        std::exchange((*it)->tick_fault, std::nullopt);
+    if (fault && fault->kind == TickFaultKind::Abort) {
+      tick_aborts_.add();
       {
-        std::lock_guard<std::mutex> lock(t.mu);
-        t.outcome.state = TicketState::Failed;
-        t.outcome.attempts = t.attempts;
-        t.outcome.error = std::move(attempt_error);
-        t.outcome.queue_seconds = queue_seconds;
-        t.outcome.solve_seconds = solve_seconds;
-        t.state.store(TicketState::Failed, std::memory_order_release);
+        std::lock_guard<std::mutex> lock(shard.mu);
+        shard.depth.add(static_cast<double>(batch.end() - it));
+        for (; it != batch.end(); ++it) {
+          shard.queue.insert(std::move(*it));  // preserved, not lost
+        }
+        shard.killed = true;
+        shard.tick_scheduled = false;  // the worker is dead
       }
-      t.cv.notify_all();
-      note_terminal();
-      continue;
+      restart_shard(shard);
+      return;
     }
-
-    shard.solved.add();
-    queue_us_.observe(queue_seconds * 1e6);
-    solve_us_.observe(solve_seconds * 1e6);
-    completed_.add();
-    {
-      std::lock_guard<std::mutex> lock(t.mu);
-      t.outcome.result = std::move(result);
-      t.outcome.rng_probe = attempt_rng();  // determinism probe: post-run
-      t.outcome.attempts = t.attempts;
-      t.outcome.queue_seconds = queue_seconds;
-      t.outcome.solve_seconds = solve_seconds;
-      t.outcome.state = TicketState::Done;
-      t.state.store(TicketState::Done, std::memory_order_release);
+    if (fault) {
+      stalls_.add();
+      std::this_thread::sleep_until(deadline_after(fault->stall_seconds)
+                                        .value_or(Clock::time_point::max()));
     }
-    t.cv.notify_all();
-    note_terminal();
+    dispatch(shard, *it);
   }
 
   // Telemetry sampler rides the tick loop: no timer thread, and a
@@ -692,18 +562,15 @@ void FormationService::run_tick(Shard& shard) {
   maybe_sample();
 
   // Yield the pool thread between batches; reschedule only while work
-  // remains (and keep tick_scheduled true across the hand-off so a
-  // racing submit cannot double-schedule). When everything pending is
-  // parked in retry backoff, nap until the earliest ready time so the
-  // hand-off loop stays cool without a timer thread.
+  // remains. Releasing and re-claiming the tick under one lock hold
+  // keeps a racing submit from scheduling a second one. When everything
+  // pending is parked in retry backoff, nap until the earliest ready
+  // time so the hand-off loop stays cool without a timer thread.
   bool more = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (!shard.queue.empty() && !paused_.load() && !shard.killed) {
-      more = true;
-    } else {
-      shard.tick_scheduled = false;
-    }
+    shard.tick_scheduled = false;
+    more = shard.claim_tick(paused_.load());
   }
   if (more) {
     if (batch.empty() && std::isfinite(earliest_ready)) {
@@ -714,6 +581,104 @@ void FormationService::run_tick(Shard& shard) {
       }
     }
     schedule_tick(shard);
+  }
+}
+
+void FormationService::dispatch(Shard& shard,
+                                const std::shared_ptr<Ticket>& ticket) {
+  Ticket& t = *ticket;
+  const double now = clock_.seconds();
+  const double queue_seconds = now - t.admitted_at;
+  if (t.deadline_at <= now) {
+    // Deadline-aware scheduling: expire *before* wasting a solve. A
+    // ticket cancelled while queued stays Cancelled.
+    transition(t, TicketState::Queued, TicketState::DeadlineExceeded,
+               [&](RequestOutcome& out) {
+                 expired_.add();
+                 shard.expired.add();
+                 out.queue_seconds = queue_seconds;
+               });
+    return;
+  }
+  if (!transition(t, TicketState::Queued, TicketState::Running,
+                  [](RequestOutcome&) {})) {
+    return;  // cancelled while queued: its solver never runs
+  }
+  ++t.attempts;
+  if (t.outcome.dispatch_seq == 0) {
+    t.outcome.dispatch_seq =
+        next_dispatch_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  core::MechanismResult result;
+  util::Xoshiro256 attempt_rng = t.rng;  // pristine snapshot per attempt
+  bool attempt_ok = true;
+  std::string attempt_error;
+  {
+    obs::Span solve_span("svc.request.solve", "svc");
+    if (solve_span.active()) {
+      solve_span.arg("ticket", static_cast<double>(t.id));
+      solve_span.arg("shard", static_cast<double>(shard.index));
+      solve_span.arg("attempt", static_cast<double>(t.attempts));
+    }
+    try {
+      if (t.injected_failures == SolverFault::kPoison ||
+          t.attempts <= t.injected_failures) {
+        throw InjectedFault("injected solver fault (ticket " +
+                            std::to_string(t.id) + ", attempt " +
+                            std::to_string(t.attempts) + ")");
+      }
+      result = mechanism_.run(core::FormationRequest{
+          *t.instance, *t.trust, attempt_rng, t.candidates, t.warm});
+    } catch (const std::exception& e) {
+      attempt_ok = false;
+      attempt_error = e.what();
+    }
+  }
+  const double solve_seconds = clock_.seconds() - now;
+  solver_runs_.add();
+
+  if (!attempt_ok && t.attempts <= t.max_retries) {
+    // Budget left: park the ticket back in its queue with capped
+    // exponential backoff; retries bypass admission control. It is in
+    // the queue before it reads Queued, so a cancel landing between this
+    // failed attempt and the retry finds it there, withdraws it and wins.
+    const double backoff = std::min(
+        options_.retry_backoff_cap_seconds,
+        options_.retry_backoff_base_seconds *
+            static_cast<double>(1ULL << std::min<std::uint32_t>(
+                                    t.attempts - 1, 62)));
+    transition(t, TicketState::Running, TicketState::Queued,
+               [&](RequestOutcome&) {
+                 retries_.add();
+                 shard.retries.add();
+                 redelivery_depth_.observe(static_cast<double>(t.attempts));
+                 std::lock_guard<std::mutex> lock(shard.mu);
+                 t.ready_at = clock_.seconds() + backoff;
+                 shard.queue.insert(ticket);
+                 shard.depth.add(1.0);
+               });
+  } else if (!attempt_ok) {
+    // Budget exhausted: typed terminal failure, never a hung handle.
+    transition(t, TicketState::Running, TicketState::Failed,
+               [&](RequestOutcome& out) {
+                 failed_.add();
+                 redelivery_depth_.observe(static_cast<double>(t.attempts));
+                 out.error = std::move(attempt_error);
+                 out.queue_seconds = queue_seconds;
+                 out.solve_seconds = solve_seconds;
+               });
+  } else {
+    transition(t, TicketState::Running, TicketState::Done,
+               [&](RequestOutcome& out) {
+                 shard.solved.add();
+                 queue_us_.observe(queue_seconds * 1e6);
+                 solve_us_.observe(solve_seconds * 1e6);
+                 completed_.add();
+                 out.result = std::move(result);
+                 out.rng_probe = attempt_rng();  // determinism probe: post-run
+                 out.queue_seconds = queue_seconds;
+                 out.solve_seconds = solve_seconds;
+               });
   }
 }
 

@@ -51,12 +51,15 @@
 /// fault plan — the service copies the caller's RNG state at submit and
 /// never advances the caller's generator — and routing is a pure
 /// function of (ticket id, routing key, shard count). Faults are keyed
-/// by ticket id, so same-seed chaotic replays produce bit-identical
-/// per-ticket results (state, attempts, RNG probe) at any shard/thread
-/// count; with the plan empty the service is bit-identical to the
-/// un-chaosed PR 7 behaviour, and a single-shard service is bit-identical
-/// to calling core::VoFormationMechanism::run(FormationRequest) directly
-/// (tests/svc pin all three, RNG probe included).
+/// by ticket id, and a ticket's tick fault fires once, when a tick
+/// reaches that ticket, whatever batch it rides in. So same-seed chaotic
+/// replays produce bit-identical per-ticket results (state, attempts,
+/// RNG probe) and identical stall, tick-abort and restart counts at any
+/// shard/thread count or batch size; with the plan empty the service is
+/// bit-identical to the un-chaosed PR 7 behaviour, and a single-shard
+/// service is bit-identical to calling
+/// core::VoFormationMechanism::run(FormationRequest) directly (tests/svc
+/// pin all three, RNG probe included).
 ///
 /// Lifetime: the referenced mechanism, instance and trust graph must
 /// outlive every ticket that uses them. The service owns its pool;
@@ -234,7 +237,8 @@ class RequestHandle {
   /// scheduled retry — the cancel wins and the retry never dispatches).
   /// True iff *this call* transitioned the ticket Queued -> Cancelled;
   /// false when dispatch (or a racing cancel, or shed/defer at submit)
-  /// won. A cancelled ticket's solver never runs again.
+  /// won, and on a handle that outlived its service. A cancelled
+  /// ticket's solver never runs again.
   bool cancel() const;
   /// Block until the ticket is terminal, or until `timeout_seconds`
   /// elapses (std::nullopt = wait forever). Returns the state observed
@@ -268,7 +272,8 @@ struct ServiceStats {
   std::uint64_t retries = 0;    ///< re-attempts scheduled after failures
   std::uint64_t restarts = 0;   ///< killed shards detected + restarted
   std::uint64_t tick_aborts = 0;  ///< injected shard kills
-  std::uint64_t stalls = 0;       ///< injected straggler ticks
+  /// Injected stalls: one per stall-marked ticket a tick reached.
+  std::uint64_t stalls = 0;
   std::uint64_t solver_runs = 0;  ///< mechanism attempts (incl. failed)
   std::uint64_t ticks = 0;        ///< shard batch executions
   double queue_p50_us = 0.0;
@@ -373,6 +378,18 @@ class FormationService {
 
   void schedule_tick(Shard& shard);
   void run_tick(Shard& shard);
+  /// One ticket of a tick's batch: expire it, or run it and retry, fail
+  /// or complete it. Skips a ticket cancelled while queued.
+  void dispatch(Shard& shard, const std::shared_ptr<detail::Ticket>& ticket);
+  /// The one ticket state change. Under the ticket's lock, and only if
+  /// the ticket is in `from`: runs `effects(outcome)` (the caller's
+  /// accounting and outcome fields) before it publishes `to`. A terminal
+  /// `to` also records state and attempts in the outcome, wakes waiters
+  /// and, for an admitted ticket, counts it off the drain. False when
+  /// the ticket was not in `from` (a cancel or a dispatch won the race).
+  template <class Effects>
+  bool transition(detail::Ticket& t, TicketState from, TicketState to,
+                  Effects&& effects);
   /// Telemetry sampler hook: closes every window whose end has passed
   /// on the service clock (no-op — one pointer branch, no atomics —
   /// when telemetry is off). Contended calls skip rather than queue:
@@ -428,8 +445,9 @@ class FormationService {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 
-  /// Service-relative clock: deadlines and retry ready-times are
-  /// absolute seconds on this timer (monotonic, shared by every shard).
+  /// Service-relative clock: a ticket's admission, deadline and retry
+  /// ready times are absolute seconds on this timer (monotonic, shared
+  /// by every shard).
   util::WallTimer clock_;
 
   /// Last member: destroyed first, so in-flight ticks still see live

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/distributed_tvof.hpp"
+#include "core/rvof.hpp"
+#include "core/tvof.hpp"
+#include "ip/bnb.hpp"
+
 namespace svo::sim {
 namespace {
 
@@ -111,12 +116,20 @@ TEST(ExperimentRunnerTest, RunPairDistributedMatchesLocalDecisions) {
   const ExperimentRunner runner(tiny_config());
   const Scenario s = runner.scenarios().make(24, 0);
   const auto local = runner.run_pair(s);
-  const auto dist = runner.run_pair_distributed(s);
-  EXPECT_EQ(dist.tvof.mechanism.selected, local.tvof.selected);
-  EXPECT_EQ(dist.tvof.mechanism.mapping, local.tvof.mapping);
-  EXPECT_EQ(dist.rvof.mechanism.selected, local.rvof.selected);
-  EXPECT_EQ(dist.rvof.mechanism.mapping, local.rvof.mapping);
-  for (const auto* p : {&dist.tvof.protocol, &dist.rvof.protocol}) {
+  const ip::BnbAssignmentSolver solver(runner.config().solver);
+  const core::TvofMechanism tvof(solver, runner.config().mechanism);
+  const core::RvofMechanism rvof(solver, runner.config().mechanism);
+  util::Xoshiro256 tvof_rng(s.tvof_seed);
+  util::Xoshiro256 rvof_rng(s.rvof_seed);
+  const core::DistributedRunResult dist_tvof = core::run_distributed(
+      tvof, s.instance.assignment, s.trust, tvof_rng);
+  const core::DistributedRunResult dist_rvof = core::run_distributed(
+      rvof, s.instance.assignment, s.trust, rvof_rng);
+  EXPECT_EQ(dist_tvof.mechanism.selected, local.tvof.selected);
+  EXPECT_EQ(dist_tvof.mechanism.mapping, local.tvof.mapping);
+  EXPECT_EQ(dist_rvof.mechanism.selected, local.rvof.selected);
+  EXPECT_EQ(dist_rvof.mechanism.mapping, local.rvof.mapping);
+  for (const auto* p : {&dist_tvof.protocol, &dist_rvof.protocol}) {
     EXPECT_GT(p->messages, 0u);
     EXPECT_EQ(p->retries, 0u);
     EXPECT_EQ(p->timeouts_fired, 0u);

@@ -405,6 +405,55 @@ TEST(ChaosServiceTest, StalledTickCannotWedgeBoundedWait) {
   EXPECT_EQ(service.metrics().counter_value("svc.stalls"), 1u);
 }
 
+/// Every marked ticket fires its tick fault exactly once, wherever the
+/// batch boundaries fall: two stalls and two aborts spread over the
+/// first four tickets give the same counts and per-ticket outcomes at
+/// batch sizes 1, 2 and 4.
+TEST(ChaosServiceTest, TickFaultsFireOncePerTicketAtAnyBatchSize) {
+  const ip::BnbAssignmentSolver solver;
+  const core::TvofMechanism tvof(solver);
+  const Fixture f = make_fixture(5, 12, 0xBA7C);
+  constexpr std::size_t kRequests = 6;
+
+  std::vector<RequestOutcome> reference;
+  for (const std::size_t batch_size : {1u, 2u, 4u}) {
+    SCOPED_TRACE("batch_size " + std::to_string(batch_size));
+    ServiceOptions opt;
+    opt.batch_size = batch_size;
+    opt.start_paused = true;
+    opt.faults.tick_faults = {{0, TickFaultKind::Stall, 0.0001},
+                              {1, TickFaultKind::Abort, 0.0},
+                              {2, TickFaultKind::Stall, 0.0001},
+                              {3, TickFaultKind::Abort, 0.0}};
+    FormationService service(tvof, opt);
+    std::vector<RequestHandle> handles;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      util::Xoshiro256 rng(400 + i);
+      handles.push_back(
+          service.submit(core::FormationRequest{f.instance, f.trust, rng}));
+    }
+    service.resume();
+    service.drain();
+
+    std::vector<RequestOutcome> outs;
+    for (const RequestHandle& h : handles) {
+      ASSERT_EQ(h.wait(), TicketState::Done);
+      outs.push_back(h.outcome());
+    }
+    if (reference.empty()) reference = outs;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      SCOPED_TRACE("ticket " + std::to_string(i));
+      EXPECT_EQ(outs[i].state, reference[i].state);
+      EXPECT_EQ(outs[i].attempts, reference[i].attempts);
+      EXPECT_EQ(outs[i].rng_probe, reference[i].rng_probe);
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.stalls, 2u);
+    EXPECT_EQ(stats.tick_aborts, 2u);
+    EXPECT_EQ(stats.restarts, 2u);
+  }
+}
+
 // ----------------------------------------------- deadlines & ordering
 
 /// deadline_seconds = 0 deterministically expires at first dispatch:
@@ -604,6 +653,11 @@ TEST(ChaosServiceTest, SameSeedChaoticReplayIsIdentical) {
   EXPECT_EQ(first.stats.tick_aborts, second.stats.tick_aborts);
   EXPECT_EQ(first.stats.stalls, second.stats.stalls);
   EXPECT_EQ(first.stats.solver_runs, second.stats.solver_runs);
+  // Every planned tick fault fired once, whatever the batching, and
+  // every abort was restarted.
+  EXPECT_EQ(first.stats.stalls + first.stats.tick_aborts,
+            opt.faults.tick_faults.size());
+  EXPECT_EQ(first.stats.restarts, first.stats.tick_aborts);
   // Conservation: every admitted ticket landed in exactly one bucket.
   EXPECT_EQ(first.stats.submitted, kRequests);
   EXPECT_EQ(first.stats.completed + first.stats.failed, kRequests);

@@ -440,6 +440,7 @@ TEST(FormationServiceTest, HandlesOutliveTheService) {
   for (const RequestHandle& h : handles) {
     EXPECT_EQ(h.poll(), TicketState::Done);
     EXPECT_TRUE(h.outcome().result.success);
+    EXPECT_FALSE(h.cancel());  // terminal: never reaches the dead service
   }
 }
 
