@@ -31,16 +31,6 @@
 
 namespace svo::bench {
 
-/// Parse "a,b,c" into sizes; returns fallback on absence or garbage.
-/// Thin wrapper over util::parse_size_list kept for harnesses that read
-/// a size list from somewhere other than the environment.
-inline std::vector<std::size_t> parse_sizes(const char* text,
-                                            std::vector<std::size_t> fallback) {
-  if (text == nullptr || *text == '\0') return fallback;
-  if (auto sizes = util::parse_size_list(text)) return std::move(*sizes);
-  return fallback;
-}
-
 /// The paper's experimental setup (Section IV-A) with env overrides.
 inline sim::ExperimentConfig paper_config() {
   sim::ExperimentConfig cfg;
@@ -62,23 +52,6 @@ inline void emit(const util::Table& table, const std::string& csv_name) {
     table.write_csv_file(path);
     std::printf("csv written: %s\n", path.c_str());
   }
-}
-
-/// Run the paper's full sweep (Figs. 1, 2, 3, 9 share it) and echo
-/// progress so long runs are visibly alive.
-inline sim::SweepResult run_paper_sweep(const sim::ExperimentConfig& cfg) {
-  const sim::ExperimentRunner runner(cfg);
-  std::size_t done = 0;
-  const std::size_t total =
-      cfg.task_sizes.size() * cfg.repetitions * (cfg.run_rvof ? 2 : 1);
-  return runner.run_sweep([&](std::size_t n, std::size_t rep,
-                              const std::string& mech,
-                              const core::MechanismResult& res) {
-    ++done;
-    std::fprintf(stderr, "  [%3zu/%zu] n=%zu rep=%zu %s: |C|=%zu %.3fs\n",
-                 done, total, n, rep, mech.c_str(), res.selected.size(),
-                 res.elapsed_seconds);
-  });
 }
 
 /// Header banner shared by all harnesses.

@@ -157,8 +157,11 @@ class VoFormationMechanism {
 
   /// Execute the mechanism on one request — the single implementation
   /// every other entry point funnels into. Results are deterministic in
-  /// (instance, trust, rng state, candidates); the warm-start policy
-  /// changes solver work, never the outcome (see WarmStartPolicy).
+  /// (instance, trust, rng state, candidates, warm-start policy). When
+  /// every solve runs to proof, both policies give the same outcome (see
+  /// WarmStartPolicy). When a node budget truncates a solve, the policy
+  /// changes where the search stops, so the mapping and its cost can
+  /// differ, and with them the VO the selection rule picks.
   [[nodiscard]] MechanismResult run(const FormationRequest& request) const;
 
   [[nodiscard]] virtual std::string name() const = 0;

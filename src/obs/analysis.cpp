@@ -628,10 +628,14 @@ BenchDiffResult diff_bench_reports(const JsonValue& baseline,
     }
     const Leaf& cur = *it->second;
     if (base.is_string || cur.is_string) {
-      // Strings only gate under Exact rules (e.g. a bench renaming its
-      // mechanism label is config drift).
-      if (dir == Direction::Exact &&
-          (base.is_string != cur.is_string || base.str != cur.str)) {
+      // A leaf that changes type gates under any gating rule: a gated
+      // number that turns into a string has lost its value. Two strings
+      // only gate under Exact rules (e.g. a bench renaming its mechanism
+      // label is config drift).
+      const bool regressed = base.is_string != cur.is_string
+                                 ? dir != Direction::Informational
+                                 : dir == Direction::Exact && base.str != cur.str;
+      if (regressed) {
         delta.status = DeltaStatus::Regressed;
         ++result.regressions;
       } else {

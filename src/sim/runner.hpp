@@ -47,8 +47,9 @@ class ExperimentRunner {
   /// seed regardless of `cfg.parallel`.
   [[nodiscard]] SweepResult run_sweep(const RunObserver& observer = {}) const;
 
-  /// Run both mechanisms on a single prepared scenario (used by the
-  /// per-program figure harnesses and the examples).
+  /// Run both mechanisms on a single prepared scenario: one repetition
+  /// of run_sweep, which the stream engine's churn-off equivalence is
+  /// checked against.
   struct PairResult {
     core::MechanismResult tvof;
     core::MechanismResult rvof;

@@ -56,7 +56,9 @@ TEST(CentralityVofTest, EveryRuleProducesValidMechanismRun) {
     // Journal invariants hold under any removal rule.
     EXPECT_EQ(r.journal.front().coalition.size(), 6u);
     for (const auto& it : r.journal) {
-      if (it.feasible) EXPECT_GE(r.payoff_share, it.payoff_share - 1e-9);
+      if (it.feasible) {
+        EXPECT_GE(r.payoff_share, it.payoff_share - 1e-9);
+      }
     }
   }
 }

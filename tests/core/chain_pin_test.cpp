@@ -12,7 +12,6 @@
 /// A mismatch prints the whole actual table in the table's own syntax.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -24,25 +23,15 @@
 #include "core/tvof.hpp"
 #include "ip/bnb.hpp"
 #include "ip/warm_start.hpp"
+#include "tests/pin_hash.hpp"
 #include "trust/trust_graph.hpp"
 #include "util/rng.hpp"
 
 namespace svo::core {
 namespace {
 
-std::uint64_t fnv1a(const ip::Assignment& a) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const std::size_t v : a) {
-    const auto word = static_cast<std::uint64_t>(v);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xffU;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+using pin::bits;
+using pin::fnv1a;
 
 /// Forwards to a B&B solver and keeps every solution, in call order. The
 /// mechanism solves each coalition once (the value function memoizes),

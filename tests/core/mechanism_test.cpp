@@ -138,7 +138,9 @@ TEST(MechanismTest, RvofRunsSameLoopWithRandomRemoval) {
   ASSERT_TRUE(r.success);
   EXPECT_EQ(r.journal.front().coalition.size(), 6u);
   for (const auto& it : r.journal) {
-    if (it.feasible) EXPECT_GE(r.payoff_share, it.payoff_share - 1e-9);
+    if (it.feasible) {
+      EXPECT_GE(r.payoff_share, it.payoff_share - 1e-9);
+    }
   }
 }
 

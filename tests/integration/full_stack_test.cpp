@@ -64,7 +64,9 @@ TEST(FullStackTest, MechanismInvariantsHoldWithHeuristicSolver) {
     if (!r.success) continue;
     // Selected VO's payoff dominates all feasible journal entries.
     for (const auto& it : r.journal) {
-      if (it.feasible) EXPECT_GE(r.payoff_share, it.payoff_share - 1e-9);
+      if (it.feasible) {
+        EXPECT_GE(r.payoff_share, it.payoff_share - 1e-9);
+      }
     }
     // Equal shares sum to v(C).
     EXPECT_NEAR(r.payoff_share * static_cast<double>(r.selected.size()),

@@ -9,7 +9,6 @@
 /// A mismatch prints the whole actual row in the table's own syntax.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -21,24 +20,14 @@
 #include "ip/greedy.hpp"
 #include "ip/local_search.hpp"
 #include "ip/warm_start.hpp"
+#include "tests/pin_hash.hpp"
 #include "util/rng.hpp"
 
 namespace svo::ip {
 namespace {
 
-std::uint64_t fnv1a(const Assignment& a) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const std::size_t v : a) {
-    const auto word = static_cast<std::uint64_t>(v);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xffU;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+using pin::bits;
+using pin::fnv1a;
 
 /// Random instance whose deadline binds: it is `deadline_factor` times
 /// the mean load of `capacity_gsps` GSPs, so the capacity-blind root

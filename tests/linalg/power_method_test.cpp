@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
+#include "linalg/sparse.hpp"
 #include "util/rng.hpp"
 
 namespace svo::linalg {
@@ -51,21 +53,33 @@ TEST(PowerMethodTest, DanglingRowTreatedAsUniform) {
 }
 
 TEST(PowerMethodTest, DampingHandlesPeriodicChain) {
-  // 2-cycle is periodic: undamped power iteration oscillates and must hit
-  // the cap; with damping it converges to uniform.
+  // The 2-cycle is periodic: undamped, an iterate other than the uniform
+  // fixed point swaps its entries every step and must hit the cap. The
+  // dense loop always starts uniform, so the undamped case runs through
+  // the sparse twin from a warm start.
   const Matrix a = Matrix::from_rows({{0.0, 1.0}, {1.0, 0.0}});
+  const std::vector<double> start{0.7, 0.3};
   PowerMethodOptions strict = no_damping();
   strict.max_iterations = 500;
-  // (uniform start is exactly the fixed point here, so pick a tougher
-  // criterion: a 3-cycle with asymmetric extra edge)
-  const Matrix b = Matrix::from_rows(
-      {{0.0, 1.0, 0.0}, {0.0, 0.0, 1.0}, {1.0, 0.0, 0.0}});
+  const PowerMethodResult undamped =
+      sparse_power_method(SparseMatrix::from_dense(a), strict, start);
+  EXPECT_TRUE(undamped.warm_started);
+  EXPECT_FALSE(undamped.converged);
+  EXPECT_EQ(undamped.iterations, 500u);
+
+  // With damping the same start converges to uniform, and so does a
+  // 3-cycle.
   PowerMethodOptions damped;
   damped.damping = 0.15;
+  const PowerMethodResult two =
+      sparse_power_method(SparseMatrix::from_dense(a), damped, start);
+  EXPECT_TRUE(two.converged);
+  for (const double x : two.eigenvector) EXPECT_NEAR(x, 0.5, 1e-6);
+  const Matrix b = Matrix::from_rows(
+      {{0.0, 1.0, 0.0}, {0.0, 0.0, 1.0}, {1.0, 0.0, 0.0}});
   const PowerMethodResult r = power_method(b, damped);
   EXPECT_TRUE(r.converged);
   for (const double x : r.eigenvector) EXPECT_NEAR(x, 1.0 / 3.0, 1e-6);
-  (void)a;
 }
 
 TEST(PowerMethodTest, EmptyMatrixConvergesEmpty) {

@@ -149,7 +149,9 @@ TEST(SparseMatrixTest, TransposedPreservesEntriesAndSortsBySource) {
     const SparseMatrix::RowView r = t.row(j);
     for (std::size_t k = 0; k < r.size(); ++k) {
       EXPECT_EQ(r.values[k], dense(r.cols[k], j));
-      if (k > 0) EXPECT_LT(r.cols[k - 1], r.cols[k]);
+      if (k > 0) {
+        EXPECT_LT(r.cols[k - 1], r.cols[k]);
+      }
     }
   }
 }

@@ -573,6 +573,26 @@ TEST(BenchDiffTest, CustomRulesTakePrecedence) {
   EXPECT_FALSE(analysis::diff_bench_reports(base, cur).passed());
 }
 
+TEST(BenchDiffTest, TypeChangeGatesUnderAnyGatingRule) {
+  // A HigherIsBetter number that turns into a string regresses...
+  const analysis::BenchDiffResult result = analysis::diff_bench_reports(
+      report_from(R"({"aggregate": {"speedup_4v1": 2.5}})"),
+      report_from(R"({"aggregate": {"speedup_4v1": "fast"}})"));
+  EXPECT_FALSE(result.passed());
+  ASSERT_EQ(result.deltas.size(), 1u);
+  EXPECT_EQ(result.deltas[0].status, analysis::DeltaStatus::Regressed);
+  // ...so does a LowerIsBetter string that turns into a number...
+  EXPECT_FALSE(analysis::diff_bench_reports(
+                   report_from(R"({"latency_p99": "n/a"})"),
+                   report_from(R"({"latency_p99": 3.0})"))
+                   .passed());
+  // ...but an informational leaf may change type.
+  EXPECT_TRUE(analysis::diff_bench_reports(
+                  report_from(R"({"elapsed_ms": 5.0})"),
+                  report_from(R"({"elapsed_ms": "5 ms"})"))
+                  .passed());
+}
+
 TEST(BenchDiffTest, StringDriftGatesOnlyUnderExactRules) {
   // "bench" matches no Exact rule by default -> informational...
   const JsonValue base = report_from(R"({"bench": "warmstart"})");

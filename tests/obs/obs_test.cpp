@@ -794,7 +794,8 @@ TEST(RegistryStressTest, ConcurrentMixedOperationsAreSafe) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&reg, t] {
       for (int i = 0; i < kIters; ++i) {
-        const std::string name = "m" + std::to_string(i % 7);
+        std::string name = "m";
+        name += std::to_string(i % 7);
         reg.counter(name + ".count").add(1);
         reg.gauge(name + ".level").add(t % 2 == 0 ? 1.0 : -1.0);
         Histogram& h = reg.histogram(name + ".lat");

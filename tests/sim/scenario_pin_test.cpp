@@ -16,46 +16,30 @@
 /// A mismatch prints the whole actual table in the table's own syntax.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/scenario.hpp"
+#include "tests/pin_hash.hpp"
 #include "trace/atlas_synth.hpp"
 
 namespace svo::sim {
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-
-void mix(std::uint64_t& h, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (word >> (8 * byte)) & 0xffU;
-    h *= 1099511628211ULL;
-  }
-}
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-std::uint64_t fnv1a(const std::vector<double>& v) {
-  std::uint64_t h = kFnvBasis;
-  for (const double x : v) mix(h, bits(x));
-  return h;
-}
+using pin::bits;
+using pin::fnv1a;
 
 std::uint64_t fnv1a(const trust::TrustGraph& trust) {
-  std::uint64_t h = kFnvBasis;
+  pin::Fnv1a h;
   const graph::Digraph& g = trust.graph();
   for (std::size_t v = 0; v < g.vertex_count(); ++v) {
     for (const graph::Edge& e : g.out_edges(v)) {
-      mix(h, v);
-      mix(h, e.to);
-      mix(h, bits(e.weight));
+      h.add(v).add(e.to).add(e.weight);
     }
   }
-  return h;
+  return h.value();
 }
 
 struct Row {
@@ -244,21 +228,22 @@ TEST(ScenarioPinTest, AtlasTraceIsPinned) {
   opts.num_jobs = 2000;
   opts.size_runtime_exponent = -0.2;
   const trace::Trace t = trace::generate_atlas_like(opts, 99);
-  std::uint64_t h = kFnvBasis;
+  pin::Fnv1a h;
   for (const trace::SwfJob& j : t.jobs) {
     for (const std::int64_t v :
          {j.job_number, j.submit_time, j.wait_time, j.allocated_processors,
           j.requested_processors, static_cast<std::int64_t>(j.status),
           j.user_id, j.group_id, j.executable_number, j.queue_number,
           j.partition_number}) {
-      mix(h, static_cast<std::uint64_t>(v));
+      h.add(v);
     }
     for (const double v : {j.run_time, j.avg_cpu_time, j.requested_time,
                            j.used_memory_kb, j.requested_memory_kb}) {
-      mix(h, bits(v));
+      h.add(v);
     }
   }
-  EXPECT_EQ(h, 0x2be04f2388b6b8edULL) << std::hex << "actual: 0x" << h << "ULL";
+  EXPECT_EQ(h.value(), 0x2be04f2388b6b8edULL)
+      << std::hex << "actual: 0x" << h.value() << "ULL";
 }
 
 }  // namespace

@@ -18,42 +18,20 @@
 /// A mismatch prints the whole actual table in the table's own syntax.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/stream_engine.hpp"
+#include "tests/pin_hash.hpp"
 
 namespace svo::sim {
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-
-void mix(std::uint64_t& h, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (word >> (8 * byte)) & 0xffU;
-    h *= 1099511628211ULL;
-  }
-}
-
-void mix(std::uint64_t& h, const std::string& s) {
-  mix(h, s.size());
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-}
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-void mix(std::uint64_t& h, const obs::Histogram::Snapshot& s) {
-  mix(h, s.count);
-  mix(h, bits(s.sum));
-  mix(h, bits(s.min));
-  mix(h, bits(s.max));
-  for (const std::uint64_t b : s.buckets) mix(h, b);
+void mix(pin::Fnv1a& h, const obs::Histogram::Snapshot& s) {
+  h.add(s.count).add(s.sum).add(s.min).add(s.max);
+  for (const std::uint64_t b : s.buckets) h.add(b);
 }
 
 struct Row {
@@ -82,53 +60,49 @@ Row row_of(const std::string& label, const StreamResult& r) {
   Row row;
   row.label = label;
   row.events = r.timeline.size();
-  row.timeline = kFnvBasis;
+  pin::Fnv1a timeline;
   for (const StreamLogEntry& e : r.timeline) {
-    mix(row.timeline, bits(e.time));
-    mix(row.timeline, static_cast<std::uint64_t>(e.kind));
-    mix(row.timeline, e.request);
-    mix(row.timeline, e.gsp);
+    timeline.add(e.time)
+        .add(static_cast<std::uint64_t>(e.kind))
+        .add(e.request)
+        .add(e.gsp);
   }
-  row.requests = kFnvBasis;
+  row.timeline = timeline.value();
+  pin::Fnv1a requests;
   for (const StreamRequestResult& q : r.requests) {
-    mix(row.requests, static_cast<std::uint64_t>(q.outcome));
-    mix(row.requests, q.attempts);
-    mix(row.requests, q.repair_rounds);
-    mix(row.requests, bits(q.terminal_time));
-    mix(row.requests, bits(q.realized_value));
+    requests.add(static_cast<std::uint64_t>(q.outcome))
+        .add(q.attempts)
+        .add(q.repair_rounds)
+        .add(q.terminal_time)
+        .add(q.realized_value);
   }
+  row.requests = requests.value();
   row.windows = r.windows.size();
-  row.window_hash = kFnvBasis;
+  pin::Fnv1a windows;
   for (const obs::Window& w : r.windows) {
-    mix(row.window_hash, w.index);
-    mix(row.window_hash, bits(w.start_time));
-    mix(row.window_hash, bits(w.end_time));
-    for (const auto& [name, value] : w.counters) {
-      mix(row.window_hash, name);
-      mix(row.window_hash, value);
-    }
-    for (const auto& [name, value] : w.gauges) {
-      mix(row.window_hash, name);
-      mix(row.window_hash, bits(value));
-    }
+    windows.add(w.index).add(w.start_time).add(w.end_time);
+    for (const auto& [name, value] : w.counters) windows.add(name).add(value);
+    for (const auto& [name, value] : w.gauges) windows.add(name).add(value);
     for (const auto& [name, snap] : w.histograms) {
-      mix(row.window_hash, name);
-      mix(row.window_hash, snap);
+      windows.add(name);
+      mix(windows, snap);
     }
   }
-  row.slos = kFnvBasis;
+  row.window_hash = windows.value();
+  pin::Fnv1a slos;
   for (const obs::SloStatus& s : r.slo_status) {
-    mix(row.slos, s.name);
-    mix(row.slos, s.windows);
-    mix(row.slos, s.violations);
-    mix(row.slos, static_cast<std::uint64_t>(s.violated_last));
-    mix(row.slos, bits(s.budget_consumed));
-    mix(row.slos, bits(s.fast_burn));
-    mix(row.slos, bits(s.slow_burn));
-    mix(row.slos, static_cast<std::uint64_t>(s.breached));
-    mix(row.slos, s.breach_onsets);
+    slos.add(s.name)
+        .add(s.windows)
+        .add(s.violations)
+        .add(s.violated_last)
+        .add(s.budget_consumed)
+        .add(s.fast_burn)
+        .add(s.slow_burn)
+        .add(s.breached)
+        .add(s.breach_onsets);
   }
-  row.horizon = bits(r.horizon);
+  row.slos = slos.value();
+  row.horizon = pin::bits(r.horizon);
   return row;
 }
 

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -24,22 +23,13 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "tests/pin_hash.hpp"
 #include "util/rng.hpp"
 
 namespace svo::trust {
 namespace {
 
-std::uint64_t fnv1a(const std::vector<double>& scores) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const double s : scores) {
-    const auto word = std::bit_cast<std::uint64_t>(s);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (word >> (8 * byte)) & 0xffU;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
+using pin::fnv1a;
 
 struct RoundPin {
   std::size_t iterations = 0;

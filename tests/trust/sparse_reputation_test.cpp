@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -23,6 +22,7 @@
 #include "core/tvof.hpp"
 #include "ip/bnb.hpp"
 #include "tests/ip/test_instances.hpp"
+#include "tests/pin_hash.hpp"
 #include "tests/trust/dense_reference.hpp"
 #include "trust/attack.hpp"
 #include "util/error.hpp"
@@ -291,22 +291,6 @@ TEST(ReputationCacheTest, RobustPipelineRejectsCache) {
   EXPECT_THROW((void)ReputationEngine(o).compute(g), InvalidArgument);
 }
 
-/// FNV-1a over 64-bit words, for pinning vectors in one number.
-class Fnv1a {
- public:
-  void add(std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h_ ^= (word >> (8 * byte)) & 0xffU;
-      h_ *= 1099511628211ULL;
-    }
-  }
-  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_ = 14695981039346656037ULL;
-};
-
 /// One TVOF run's outcome: the selected VO, FNV-1a hashes of its mapping,
 /// of the global reputation's bits and of the journal (per iteration:
 /// coalition, cost bits, local reputation bits, removed GSP), the cost
@@ -357,20 +341,16 @@ MechanismPin run_pinned(std::uint64_t seed, bool robust) {
   p.robust = robust;
   p.success = r.success;
   p.selected = r.selected.bits();
-  Fnv1a mapping;
-  for (const std::size_t t : r.mapping) mapping.add(std::uint64_t{t});
-  p.mapping = mapping.value();
-  p.cost = std::bit_cast<std::uint64_t>(r.cost);
-  p.value = std::bit_cast<std::uint64_t>(r.value);
-  Fnv1a reputation;
-  for (const double s : r.global_reputation) reputation.add(s);
-  p.reputation = reputation.value();
-  Fnv1a journal;
+  p.mapping = pin::fnv1a(r.mapping);
+  p.cost = pin::bits(r.cost);
+  p.value = pin::bits(r.value);
+  p.reputation = pin::fnv1a(r.global_reputation);
+  pin::Fnv1a journal;
   for (const core::IterationRecord& rec : r.journal) {
-    journal.add(rec.coalition.bits());
-    journal.add(rec.cost);
-    journal.add(rec.avg_local_reputation);
-    journal.add(std::uint64_t{rec.removed_gsp});
+    journal.add(rec.coalition.bits())
+        .add(rec.cost)
+        .add(rec.avg_local_reputation)
+        .add(rec.removed_gsp);
   }
   p.journal = journal.value();
   p.rng_probe = rng();

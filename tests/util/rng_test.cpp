@@ -7,6 +7,8 @@
 #include <set>
 #include <vector>
 
+#include "tests/pin_hash.hpp"
+
 namespace svo::util {
 namespace {
 
@@ -93,15 +95,10 @@ TEST(Xoshiro256Test, IndexDrawsArePinned) {
   };
   for (const Case& c : cases) {
     Xoshiro256 rng(42);
-    std::uint64_t h = 14695981039346656037ULL;
-    for (int i = 0; i < 1000; ++i) {
-      const auto v = static_cast<std::uint64_t>(rng.index(c.n));
-      for (int byte = 0; byte < 8; ++byte) {
-        h ^= (v >> (8 * byte)) & 0xffU;
-        h *= 1099511628211ULL;
-      }
-    }
-    EXPECT_EQ(h, c.hash) << "n = " << c.n << " got 0x" << std::hex << h;
+    pin::Fnv1a h;
+    for (int i = 0; i < 1000; ++i) h.add(rng.index(c.n));
+    EXPECT_EQ(h.value(), c.hash)
+        << "n = " << c.n << " got 0x" << std::hex << h.value();
   }
 }
 

@@ -3,7 +3,7 @@
 
 Usage:
     mkdir -p results
-    SVO_CSV=results ./build/bench/bench_fig1_payoff        # etc.
+    SVO_CSV=results ./build/bench/bench_paper_figures
     python3 tools/plot_figures.py results/ out/
 
 Requires matplotlib (not needed for anything else in this repository).
