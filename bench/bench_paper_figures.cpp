@@ -42,6 +42,9 @@ struct Work {
   long long nodes = 0;
   std::size_t solves = 0;
   std::size_t budget_hits = 0;  ///< solves stopped by the node budget
+  /// Nodes of solves that ended Unknown: the budget ran out before any
+  /// incumbent, so the work found nothing and proved nothing.
+  long long no_incumbent_nodes = 0;
 
   void add(const core::MechanismResult& r) {
     nodes += static_cast<long long>(r.stats.nodes);
@@ -51,12 +54,20 @@ struct Work {
           it.stats.status == ip::AssignStatus::Unknown) {
         ++budget_hits;
       }
+      if (it.stats.status == ip::AssignStatus::Unknown) {
+        no_incumbent_nodes += static_cast<long long>(it.stats.nodes);
+      }
     }
   }
   [[nodiscard]] double hit_share() const {
     return solves > 0 ? static_cast<double>(budget_hits) /
                             static_cast<double>(solves)
                       : 0.0;
+  }
+  [[nodiscard]] double no_incumbent_share() const {
+    return nodes > 0 ? static_cast<double>(no_incumbent_nodes) /
+                           static_cast<double>(nodes)
+                     : 0.0;
   }
 };
 
@@ -216,7 +227,9 @@ void fig9(const sim::SweepResult& sweep, const Runs& runs) {
   heading("Fig. 9", "mechanism execution time vs number of tasks");
   util::Table table({"tasks", "TVOF seconds", "RVOF seconds", "TVOF stddev",
                      "RVOF stddev", "TVOF nodes", "RVOF nodes",
-                     "TVOF budget-hit share", "RVOF budget-hit share"});
+                     "TVOF budget-hit share", "RVOF budget-hit share",
+                     "TVOF no-incumbent node share",
+                     "RVOF no-incumbent node share"});
   table.set_precision(4);
   for (std::size_t i = 0; i < sweep.points.size(); ++i) {
     const sim::SweepPoint& p = sweep.points[i];
@@ -225,7 +238,9 @@ void fig9(const sim::SweepResult& sweep, const Runs& runs) {
                    p.tvof.exec_seconds.stddev(), p.rvof.exec_seconds.stddev(),
                    runs.tvof_work[i].nodes, runs.rvof_work[i].nodes,
                    runs.tvof_work[i].hit_share(),
-                   runs.rvof_work[i].hit_share()});
+                   runs.rvof_work[i].hit_share(),
+                   runs.tvof_work[i].no_incumbent_share(),
+                   runs.rvof_work[i].no_incumbent_share()});
   }
   bench::emit(table, "fig9_exec_time.csv");
   const double first = sweep.points.front().tvof.exec_seconds.mean();

@@ -31,21 +31,22 @@ const CoalitionEvaluation& VoValueFunction::evaluate_impl(
     detail::require(Coalition::all(inst_.num_gsps()).bits() ==
                         (c.bits() | Coalition::all(inst_.num_gsps()).bits()),
                     "VoValueFunction: coalition has players outside the game");
-    std::vector<std::size_t> original;
-    const ip::AssignmentInstance sub =
-        inst_.restrict_to(c.mask(inst_.num_gsps()), &original);
-
+    const std::vector<std::size_t> original = c.members();
     ip::AssignmentSolution sol;
     if (hint != nullptr) {
       // Derive from the kept kernel when it is the parent coalition's:
       // the removed GSP's parent row is the number of members below it.
+      // A chain's root reads inst_ itself when it is the grand coalition.
       const std::size_t g = hint->removed_gsp;
       if (kernel_ != nullptr && g < inst_.num_gsps() && !c.contains(g) &&
           c.with(g) == kernel_coalition_) {
         kernel_ = std::make_shared<const ip::SolveKernel>(
             *kernel_, std::popcount(c.bits() & ((std::uint64_t{1} << g) - 1)));
+      } else if (c == Coalition::all(inst_.num_gsps())) {
+        kernel_ = std::make_shared<const ip::SolveKernel>(inst_);
       } else {
-        kernel_ = std::make_shared<const ip::SolveKernel>(sub);
+        kernel_ = std::make_shared<const ip::SolveKernel>(
+            inst_.restrict_to(c.mask(inst_.num_gsps())));
       }
       kernel_coalition_ = c;
       ip::WarmStart warm;
@@ -53,16 +54,16 @@ const CoalitionEvaluation& VoValueFunction::evaluate_impl(
       if (hint->previous != nullptr && hint->previous->feasible &&
           hint->previous->mapping.size() == inst_.num_tasks()) {
         const ip::RepairResult repaired = ip::repair_for_removal(
-            sub, original, hint->previous->mapping, hint->removed_gsp);
+            *kernel_, original, hint->previous->mapping, hint->removed_gsp);
         if (repaired.ok) {
           warm.incumbent = repaired.assignment;
           warm.incumbent_cost = repaired.cost;
           warm.repair_moves = repaired.moves;
         }
       }
-      sol = solver_.solve(sub, warm);
+      sol = solver_.solve_from_kernel(warm);
     } else {
-      sol = solver_.solve(sub);
+      sol = solver_.solve(inst_.restrict_to(c.mask(inst_.num_gsps())));
     }
     eval.stats = sol.stats;
     if (sol.has_assignment()) {

@@ -68,13 +68,15 @@ class VoValueFunction {
   /// (DESIGN.md §4.4). Throws InvalidArgument if `c` exceeds m players.
   const CoalitionEvaluation& evaluate(Coalition c) const;
 
-  /// Warm evaluation: like evaluate(c), but hands the solver an
-  /// ip::WarmStart whose kernel is derived from the kept kernel when
-  /// that is the parent coalition c + {hint.removed_gsp}'s (built from
-  /// the restricted instance otherwise; it becomes the kept one) and,
-  /// when `hint.previous` holds a feasible mapping of the parent, its
-  /// repair (only the removed GSP's tasks move) as a warm incumbent.
-  /// Memoized identically to evaluate(c); a cache hit ignores the hint.
+  /// Warm evaluation: like evaluate(c), but solves through
+  /// ip::AssignmentSolver::solve_from_kernel with an ip::WarmStart whose
+  /// kernel is derived from the kept kernel when that is the parent
+  /// coalition c + {hint.removed_gsp}'s (otherwise built from the
+  /// instance itself for the grand coalition, or from its restriction
+  /// to c; it becomes the kept one) and, when `hint.previous` holds a
+  /// feasible mapping of the parent, its repair (only the removed GSP's
+  /// tasks move) as a warm incumbent. Memoized identically to
+  /// evaluate(c); a cache hit ignores the hint.
   const CoalitionEvaluation& evaluate(Coalition c, const WarmHint& hint) const;
 
   /// v(C) shortcut.

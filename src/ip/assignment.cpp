@@ -12,6 +12,13 @@ AssignmentSolution AssignmentSolver::solve(const AssignmentInstance& inst,
   return solve(inst);
 }
 
+AssignmentSolution AssignmentSolver::solve_from_kernel(
+    const WarmStart& warm) const {
+  detail::require(warm.kernel != nullptr,
+                  "AssignmentSolver::solve_from_kernel: no kernel");
+  return solve(warm.kernel->instance(), warm);
+}
+
 const char* to_string(AssignStatus s) noexcept {
   switch (s) {
     case AssignStatus::Optimal: return "Optimal";
@@ -48,15 +55,18 @@ AssignmentInstance AssignmentInstance::restrict_to(
   for (std::size_t g = 0; g < num_gsps(); ++g) {
     if (keep[g]) rows.push_back(g);
   }
-  AssignmentInstance sub;
-  sub.cost = linalg::Matrix(rows.size(), num_tasks());
-  sub.time = linalg::Matrix(rows.size(), num_tasks());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t t = 0; t < num_tasks(); ++t) {
-      sub.cost(r, t) = cost(rows[r], t);
-      sub.time(r, t) = time(rows[r], t);
+  // Each kept row is copied whole into storage written once.
+  const auto kept_rows = [&](const linalg::Matrix& m) {
+    std::vector<double> data;
+    data.reserve(rows.size() * num_tasks());
+    for (const std::size_t g : rows) {
+      data.insert(data.end(), m.row(g).begin(), m.row(g).end());
     }
-  }
+    return linalg::Matrix(rows.size(), num_tasks(), std::move(data));
+  };
+  AssignmentInstance sub;
+  sub.cost = kept_rows(cost);
+  sub.time = kept_rows(time);
   sub.deadline = deadline;
   sub.payment = payment;
   sub.require_all_gsps_used = require_all_gsps_used;

@@ -9,9 +9,11 @@
 ///              sigma binary                                        (14)
 ///
 /// Instances index GSPs as rows (g in [0, k)) and tasks as columns
-/// (t in [0, n)). Several solvers implement AssignmentSolver; all accept
-/// an arbitrary GSP subset (a coalition) via the instance construction
-/// helpers, so the mechanism never copies matrices per coalition.
+/// (t in [0, n)). Several solvers implement AssignmentSolver. A
+/// coalition's instance is restrict_to's output, or, along Algorithm 1's
+/// warm chain, a solve kernel derived from its parent's
+/// (AssignmentSolver::solve_from_kernel), so the chain copies no
+/// GSP-major matrix per coalition.
 #pragma once
 
 #include <cstddef>
@@ -139,6 +141,14 @@ class AssignmentSolver {
   /// solver correct without modification.
   [[nodiscard]] virtual AssignmentSolution solve(const AssignmentInstance& inst,
                                                 const WarmStart& warm) const;
+  /// Warm-started solve of the instance `warm.kernel` describes, which
+  /// must be non-null: Algorithm 1's warm chain hands over the kernel it
+  /// derived and no GSP-major instance. The default rebuilds that
+  /// instance from the kernel (bit-equal to restrict_to's output) and
+  /// calls solve(inst, warm), so a solver that overrides only the two
+  /// entries above works unchanged.
+  [[nodiscard]] virtual AssignmentSolution solve_from_kernel(
+      const WarmStart& warm) const;
   /// Identifying name for logs and benchmark tables.
   [[nodiscard]] virtual std::string name() const = 0;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <optional>
 
 #include "ip/greedy.hpp"
 #include "ip/solve_kernel.hpp"
@@ -153,44 +152,48 @@ class Search {
 
 AssignmentSolution BnbAssignmentSolver::solve(
     const AssignmentInstance& inst) const {
-  return solve_impl(inst, nullptr);
+  return solve_impl(SolveKernel(inst), nullptr);
 }
 
 AssignmentSolution BnbAssignmentSolver::solve(const AssignmentInstance& inst,
                                               const WarmStart& warm) const {
-  return solve_impl(inst, &warm);
+  // Read the hint's kernel when it describes `inst`; otherwise build one,
+  // which validates `inst`.
+  const SolveKernel* kernel = warm.kernel.get();
+  if (kernel != nullptr && kernel->num_gsps() == inst.num_gsps() &&
+      kernel->num_tasks() == inst.num_tasks() &&
+      kernel->deadline() == inst.deadline &&
+      kernel->payment() == inst.payment &&
+      kernel->require_all_gsps_used() == inst.require_all_gsps_used) {
+    return solve_impl(*kernel, &warm);
+  }
+  return solve_impl(SolveKernel(inst), &warm);
+}
+
+AssignmentSolution BnbAssignmentSolver::solve_from_kernel(
+    const WarmStart& warm) const {
+  detail::require(warm.kernel != nullptr,
+                  "BnbAssignmentSolver::solve_from_kernel: no kernel");
+  return solve_impl(*warm.kernel, &warm);
 }
 
 AssignmentSolution BnbAssignmentSolver::solve_impl(
-    const AssignmentInstance& inst, const WarmStart* warm) const {
+    const SolveKernel& kernel, const WarmStart* warm) const {
   obs::Span span("ip.bnb.solve", "ip");
 
-  // Read the hint's kernel when it describes `inst`; otherwise build one,
-  // which validates `inst`.
-  const SolveKernel* kernel = warm != nullptr ? warm->kernel.get() : nullptr;
-  std::optional<SolveKernel> built;
-  if (kernel == nullptr || kernel->num_gsps() != inst.num_gsps() ||
-      kernel->num_tasks() != inst.num_tasks() ||
-      kernel->deadline() != inst.deadline ||
-      kernel->payment() != inst.payment ||
-      kernel->require_all_gsps_used() != inst.require_all_gsps_used) {
-    kernel = &built.emplace(inst);
-  }
   // Accept the incumbent hint only when fully feasible ((10)-(13)); it
   // can then only tighten pruning, never change the proven status/cost.
-  const bool warm_incumbent_ok =
-      warm != nullptr && warm->has_incumbent() &&
-      warm->incumbent.size() == inst.num_tasks() &&
-      check_feasible(inst, warm->incumbent).empty();
+  const bool warm_incumbent_ok = warm != nullptr && warm->has_incumbent() &&
+                                 feasible(kernel, warm->incumbent);
 
   // A solve that accepted a derived kernel or a warm incumbent is a
   // re-verification of an incrementally modified instance;
   // warm_max_nodes (when set) caps it.
   BnbOptions effective = opts_;
-  if (opts_.warm_max_nodes > 0 && (kernel->derived() || warm_incumbent_ok)) {
+  if (opts_.warm_max_nodes > 0 && (kernel.derived() || warm_incumbent_ok)) {
     effective.max_nodes = std::min(effective.max_nodes, opts_.warm_max_nodes);
   }
-  Search search(*kernel, effective);
+  Search search(kernel, effective);
 
   AssignmentSolution sol;
   // Warm incumbent first: a repaired previous mapping is typically
@@ -203,13 +206,13 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
   }
   if (opts_.seed_with_greedy) {
     Assignment seed =
-        greedy_construct(*kernel, GreedyOptions::Order::RegretDescending);
+        greedy_construct(kernel, GreedyOptions::Order::RegretDescending);
     if (seed.empty()) {
-      seed = greedy_construct(*kernel, GreedyOptions::Order::TimeDescending);
+      seed = greedy_construct(kernel, GreedyOptions::Order::TimeDescending);
     }
     if (!seed.empty()) {
       // Greedy construction satisfies (11)-(13) by construction.
-      const double cost = local_search(*kernel, seed, opts_.polish);
+      const double cost = local_search(kernel, seed, opts_.polish);
       search.seed_incumbent(std::move(seed), cost);
     }
   }
@@ -222,7 +225,7 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
     // Canonical cost: always the task-order sum, so the same final
     // assignment reports the same double regardless of the summation
     // order the search happened to use.
-    sol.cost = assignment_cost(inst, sol.assignment);
+    sol.cost = assignment_cost(kernel, sol.assignment);
     sol.stats.status =
         exhausted ? AssignStatus::Optimal : AssignStatus::Feasible;
     if (exhausted) sol.lower_bound = sol.cost;
@@ -233,8 +236,8 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
   if (span.active()) {
     // Telemetry is sampled at the solve boundary, never per node: the
     // search above runs exactly as it does with the recorder off.
-    span.arg("gsps", static_cast<double>(inst.num_gsps()));
-    span.arg("tasks", static_cast<double>(inst.num_tasks()));
+    span.arg("gsps", static_cast<double>(kernel.num_gsps()));
+    span.arg("tasks", static_cast<double>(kernel.num_tasks()));
     span.arg("nodes", static_cast<double>(sol.stats.nodes));
     span.arg("incumbents", static_cast<double>(search.incumbent_updates()));
     span.arg("warm", sol.stats.warm_start_used ? 1.0 : 0.0);

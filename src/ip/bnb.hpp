@@ -20,6 +20,8 @@
 
 namespace svo::ip {
 
+class SolveKernel;  // ip/solve_kernel.hpp
+
 /// Options for the B&B solver.
 struct BnbOptions {
   /// Node budget; exceeding it makes the result anytime (no proof). The
@@ -58,12 +60,18 @@ class BnbAssignmentSolver final : public AssignmentSolver {
   /// pruning — a run to proof returns the same status and cost as cold.
   [[nodiscard]] AssignmentSolution solve(const AssignmentInstance& inst,
                                          const WarmStart& warm) const override;
+  /// The warm solve above on `warm.kernel` itself: the warm-incumbent
+  /// check and the canonical cost read the kernel, so no GSP-major
+  /// instance is needed.
+  [[nodiscard]] AssignmentSolution solve_from_kernel(
+      const WarmStart& warm) const override;
   [[nodiscard]] std::string name() const override { return "bnb"; }
 
   [[nodiscard]] const BnbOptions& options() const noexcept { return opts_; }
 
  private:
-  [[nodiscard]] AssignmentSolution solve_impl(const AssignmentInstance& inst,
+  /// The one solve body every entry forwards to; `warm` may be null.
+  [[nodiscard]] AssignmentSolution solve_impl(const SolveKernel& kernel,
                                               const WarmStart* warm) const;
 
   BnbOptions opts_;

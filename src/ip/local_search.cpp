@@ -1,6 +1,8 @@
 #include "ip/local_search.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "ip/solve_kernel.hpp"
@@ -85,6 +87,66 @@ bool try_swap(const SolveKernel& kernel, Assignment& a, State& st,
   return true;
 }
 
+/// Partners screened per block of a sampled swap pass: one mask word.
+constexpr std::size_t kScreenBlock = 64;
+
+/// Bit i set when swapping t with partners[i] could apply on the current
+/// state: u != t, a different GSP, and a delta that is not >= -1e-12.
+/// The negated test keeps a NaN delta (from +inf costs) a candidate, as
+/// try_swap's own test does. Computed without branches.
+std::uint64_t screen(const SolveKernel& kernel, const Assignment& a,
+                     std::size_t t, const std::size_t* partners,
+                     std::size_t count) {
+  const std::size_t gt = a[t];
+  const double* cost_t = kernel.costs(t);
+  std::uint64_t mask = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t u = partners[i];
+    const std::size_t gu = a[u];
+    const double* cost_u = kernel.costs(u);
+    const double delta = cost_t[gu] + cost_u[gt] - cost_t[gt] - cost_u[gu];
+    const bool candidate = (u != t) & (gu != gt) & !(delta >= -1e-12);
+    mask |= static_cast<std::uint64_t>(candidate) << i;
+  }
+  return mask;
+}
+
+/// One sampled swap pass: `samples` random partners per task, tried in
+/// draw order; returns true if any swap applied. It applies exactly the
+/// swaps of the plain loop "draw u; if (u != t) try_swap(t, u)": the
+/// draws do not depend on the assignment, so each block of a task's
+/// partners is drawn up front, and until one of the task's swaps
+/// applies, try_swap sees an unchanged state and can only apply on a
+/// partner the screen passes. After that, the task's remaining partners
+/// go through try_swap in order.
+bool sampled_swap_pass(const SolveKernel& kernel, Assignment& a, State& st,
+                       util::Xoshiro256& rng, const util::BoundedIndex& draw,
+                       std::size_t samples) {
+  std::size_t partners[kScreenBlock];
+  bool improved = false;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    bool swapped = false;
+    for (std::size_t first = 0; first < samples; first += kScreenBlock) {
+      const std::size_t count = std::min(kScreenBlock, samples - first);
+      for (std::size_t i = 0; i < count; ++i) partners[i] = draw(rng);
+      std::size_t i = 0;
+      if (!swapped) {
+        for (std::uint64_t mask = screen(kernel, a, t, partners, count);
+             mask != 0 && !swapped; mask &= mask - 1) {
+          i = static_cast<std::size_t>(std::countr_zero(mask)) + 1;
+          swapped = try_swap(kernel, a, st, t, partners[i - 1]);
+        }
+        if (!swapped) continue;
+      }
+      for (; i < count; ++i) {
+        if (partners[i] != t) try_swap(kernel, a, st, t, partners[i]);
+      }
+    }
+    improved |= swapped;
+  }
+  return improved;
+}
+
 }  // namespace
 
 double local_search(const AssignmentInstance& inst, Assignment& a,
@@ -106,6 +168,7 @@ double local_search(const SolveKernel& kernel, Assignment& a,
   }
   if (opts.max_swap_passes > 0 && kernel.num_gsps() > 1 && a.size() > 1) {
     util::Xoshiro256 rng(opts.seed);
+    const util::BoundedIndex draw(a.size());
     for (std::size_t pass = 0; pass < opts.max_swap_passes; ++pass) {
       bool improved = false;
       if (opts.swap_sample_per_task == 0) {
@@ -115,12 +178,8 @@ double local_search(const SolveKernel& kernel, Assignment& a,
           }
         }
       } else {
-        for (std::size_t t = 0; t < a.size(); ++t) {
-          for (std::size_t s = 0; s < opts.swap_sample_per_task; ++s) {
-            const std::size_t u = rng.index(a.size());
-            if (u != t) improved |= try_swap(kernel, a, st, t, u);
-          }
-        }
+        improved = sampled_swap_pass(kernel, a, st, rng, draw,
+                                     opts.swap_sample_per_task);
       }
       // A swap pass may open relocation opportunities.
       if (improved) {

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 namespace svo::ip {
 
@@ -91,6 +92,25 @@ SolveKernel::SolveKernel(const AssignmentInstance& inst)
                    });
 }
 
+AssignmentInstance SolveKernel::instance() const {
+  const auto gsp_major = [this](const double* task_major) {
+    std::vector<double> data(k_ * n_);
+    for (std::size_t t = 0; t < n_; ++t) {
+      for (std::size_t g = 0; g < k_; ++g) {
+        data[g * n_ + t] = task_major[t * k_ + g];
+      }
+    }
+    return linalg::Matrix(k_, n_, std::move(data));
+  };
+  AssignmentInstance inst;
+  inst.cost = gsp_major(cost_.get());
+  inst.time = gsp_major(time_.get());
+  inst.deadline = deadline_;
+  inst.payment = payment_;
+  inst.require_all_gsps_used = require_all_gsps_used_;
+  return inst;
+}
+
 void SolveKernel::retarget(double deadline, double payment) {
   detail::require(deadline > 0.0, "SolveKernel: deadline must be > 0");
   detail::require(payment >= 0.0, "SolveKernel: payment must be >= 0");
@@ -153,6 +173,39 @@ SolveKernel::SolveKernel(const SolveKernel& parent, std::size_t removed_row)
   const auto mid =
       regret_order_.insert(regret_order_.end(), moved.begin(), moved.end());
   std::inplace_merge(regret_order_.begin(), mid, regret_order_.end(), before);
+}
+
+double assignment_cost(const SolveKernel& kernel, const Assignment& a) {
+  if (a.size() != kernel.num_tasks()) {
+    throw DimensionMismatch("assignment_cost: assignment arity != num_tasks");
+  }
+  double acc = 0.0;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    detail::require(a[t] < kernel.num_gsps(),
+                    "assignment_cost: GSP index out of range");
+    acc += kernel.costs(t)[a[t]];
+  }
+  return acc;
+}
+
+bool feasible(const SolveKernel& kernel, const Assignment& a) {
+  constexpr double tol = 1e-9;
+  const std::size_t k = kernel.num_gsps();
+  if (a.size() != kernel.num_tasks()) return false;
+  std::vector<double> load(k, 0.0);
+  std::vector<std::size_t> tasks_per_gsp(k, 0);
+  double total_cost = 0.0;
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    if (a[t] >= k) return false;
+    load[a[t]] += kernel.times(t)[a[t]];
+    ++tasks_per_gsp[a[t]];
+    total_cost += kernel.costs(t)[a[t]];
+  }
+  for (std::size_t g = 0; g < k; ++g) {
+    if (load[g] > kernel.deadline() + tol) return false;
+    if (kernel.require_all_gsps_used() && tasks_per_gsp[g] == 0) return false;
+  }
+  return !(total_cost > kernel.payment() + tol);
 }
 
 }  // namespace svo::ip

@@ -60,6 +60,11 @@ class SolveKernel {
   /// True when this kernel was derived from a parent kernel.
   [[nodiscard]] bool derived() const noexcept { return derived_; }
 
+  /// The instance this kernel describes, GSP-major again: bit-equal to
+  /// the instance it was built from, or, for a derived kernel, to
+  /// AssignmentInstance::restrict_to's output for its rows.
+  [[nodiscard]] AssignmentInstance instance() const;
+
   [[nodiscard]] std::size_t num_gsps() const noexcept { return k_; }
   [[nodiscard]] std::size_t num_tasks() const noexcept { return n_; }
   [[nodiscard]] double deadline() const noexcept { return deadline_; }
@@ -109,5 +114,16 @@ class SolveKernel {
   std::vector<double> regret_;         // per task
   std::vector<std::size_t> regret_order_;
 };
+
+/// assignment_cost on the kernel's instance: the same doubles summed in
+/// the same task order, so the same bits. Throws DimensionMismatch on
+/// bad arity.
+[[nodiscard]] double assignment_cost(const SolveKernel& kernel,
+                                     const Assignment& a);
+
+/// True when check_feasible on the kernel's instance, at its default
+/// tolerance, would find no violated constraint of (10)-(13); the same
+/// sums in the same order.
+[[nodiscard]] bool feasible(const SolveKernel& kernel, const Assignment& a);
 
 }  // namespace svo::ip

@@ -5,35 +5,15 @@
 
 namespace svo::ip {
 
-namespace {
-
-/// Cheapest GSP that can still take task `t` under the deadline;
-/// SIZE_MAX when none fits.
-std::size_t cheapest_feasible(const AssignmentInstance& inst, std::size_t t,
-                              const std::vector<double>& load) {
-  std::size_t best_g = SIZE_MAX;
-  double best_c = std::numeric_limits<double>::infinity();
-  for (std::size_t g = 0; g < inst.num_gsps(); ++g) {
-    if (load[g] + inst.time(g, t) > inst.deadline) continue;
-    const double c = inst.cost(g, t);
-    if (c < best_c) {
-      best_c = c;
-      best_g = g;
-    }
-  }
-  return best_g;
-}
-
-}  // namespace
-
-RepairResult repair_for_removal(const AssignmentInstance& inst,
+RepairResult repair_for_removal(const SolveKernel& kernel,
                                 const std::vector<std::size_t>& rows,
                                 const Assignment& parent_assignment,
                                 std::size_t removed_parent_row,
                                 std::size_t polish_passes) {
   RepairResult out;
-  const std::size_t k = inst.num_gsps();
-  const std::size_t n = inst.num_tasks();
+  const std::size_t k = kernel.num_gsps();
+  const std::size_t n = kernel.num_tasks();
+  const double deadline = kernel.deadline();
   if (rows.size() != k || parent_assignment.size() != n) return out;
 
   // Inverse row map: parent row -> child row.
@@ -55,22 +35,33 @@ RepairResult repair_for_removal(const AssignmentInstance& inst,
     if (p > max_parent || child_of[p] == SIZE_MAX) return out;  // bad hint
     const std::size_t r = child_of[p];
     a[t] = r;
-    load[r] += inst.time(r, t);
+    load[r] += kernel.times(t)[r];
     ++count[r];
-    out.cost += inst.cost(r, t);
+    out.cost += kernel.costs(t)[r];
   }
 
-  // Greedy reinsertion of the orphaned tasks (cheapest feasible GSP).
+  // Greedy reinsertion of the orphaned tasks: the cheapest GSP that can
+  // still take the task under the deadline, the lowest index on ties.
   for (const std::size_t t : moved) {
-    const std::size_t g = cheapest_feasible(inst, t, load);
+    const double* costs = kernel.costs(t);
+    const double* times = kernel.times(t);
+    std::size_t g = SIZE_MAX;
+    double best_c = std::numeric_limits<double>::infinity();
+    for (std::size_t h = 0; h < k; ++h) {
+      if (load[h] + times[h] > deadline) continue;
+      if (costs[h] < best_c) {
+        best_c = costs[h];
+        g = h;
+      }
+    }
     if (g == SIZE_MAX) {
       out.cost = 0.0;
       return out;  // no surviving GSP can absorb this task
     }
     a[t] = g;
-    load[g] += inst.time(g, t);
+    load[g] += times[g];
     ++count[g];
-    out.cost += inst.cost(g, t);
+    out.cost += costs[g];
     ++out.moves;
   }
 
@@ -81,22 +72,24 @@ RepairResult repair_for_removal(const AssignmentInstance& inst,
     bool improved = false;
     for (const std::size_t t : moved) {
       const std::size_t from = a[t];
-      if (inst.require_all_gsps_used && count[from] <= 1) continue;
-      const double c_from = inst.cost(from, t);
+      if (kernel.require_all_gsps_used() && count[from] <= 1) continue;
+      const double* costs = kernel.costs(t);
+      const double* times = kernel.times(t);
+      const double c_from = costs[from];
       std::size_t best_g = from;
       double best_c = c_from;
       for (std::size_t g = 0; g < k; ++g) {
         if (g == from) continue;
-        const double c_g = inst.cost(g, t);
+        const double c_g = costs[g];
         if (c_g >= best_c) continue;
-        if (load[g] + inst.time(g, t) > inst.deadline) continue;
+        if (load[g] + times[g] > deadline) continue;
         best_g = g;
         best_c = c_g;
       }
       if (best_g != from) {
-        load[from] -= inst.time(from, t);
+        load[from] -= times[from];
         --count[from];
-        load[best_g] += inst.time(best_g, t);
+        load[best_g] += times[best_g];
         ++count[best_g];
         out.cost += best_c - c_from;
         a[t] = best_g;
@@ -107,7 +100,7 @@ RepairResult repair_for_removal(const AssignmentInstance& inst,
     if (!improved) break;
   }
 
-  if (inst.require_all_gsps_used) {
+  if (kernel.require_all_gsps_used()) {
     for (std::size_t g = 0; g < k; ++g) {
       if (count[g] == 0) {
         // A surviving GSP lost coverage (possible only when the parent
@@ -123,7 +116,7 @@ RepairResult repair_for_removal(const AssignmentInstance& inst,
   out.assignment = std::move(a);
   // Canonical cost: recompute in task order so warm incumbents carry
   // the exact double the solvers would report for this assignment.
-  out.cost = assignment_cost(inst, out.assignment);
+  out.cost = assignment_cost(kernel, out.assignment);
   return out;
 }
 

@@ -41,9 +41,11 @@ struct WarmStart {
   /// (telemetry; forwarded into SolveStats::repair_moves).
   std::size_t repair_moves = 0;
   /// The solve kernel of the instance being solved, built or derived by
-  /// the caller (game::VoValueFunction keeps the chain). A solver that
-  /// reads kernels uses it only when its shape, deadline, payment and
-  /// (13) flag match the instance; its contents are trusted.
+  /// the caller (game::VoValueFunction keeps the chain). For
+  /// AssignmentSolver::solve_from_kernel it *is* the instance. A solver
+  /// that reads kernels in solve(inst, warm) uses it only when its
+  /// shape, deadline, payment and (13) flag match `inst`; its contents
+  /// are trusted.
   std::shared_ptr<const SolveKernel> kernel;
 
   [[nodiscard]] bool has_incumbent() const noexcept {
@@ -56,7 +58,7 @@ struct RepairResult {
   /// True when every task found a feasible executor; false leaves
   /// `assignment` empty.
   bool ok = false;
-  /// Repaired mapping: task -> row of `inst` (the restricted instance).
+  /// Repaired mapping: task -> row of the child coalition's kernel.
   Assignment assignment;
   /// assignment_cost of the repaired mapping (may exceed the payment
   /// cap — the receiving solver filters).
@@ -68,16 +70,17 @@ struct RepairResult {
 
 /// Repair the parent iteration's mapping after one GSP was removed.
 ///
-/// `inst` is the restricted (child) instance; `rows[r]` is the parent
-/// row of child row r; `parent_assignment` maps each task to a parent
-/// row; `removed_parent_row` is the row that left. Tasks on surviving
-/// rows keep their executor; tasks on the removed row are reinserted
-/// greedily (cheapest feasible surviving GSP under the deadline), then
-/// a relocation polish restricted to the moved tasks runs until no
-/// moved task improves (at most `polish_passes` passes). The result
-/// satisfies (11)-(13) by construction whenever ok is true.
+/// `kernel` is the child coalition's solve kernel, whose task-major rows
+/// the repair reads; `rows[r]` is the parent row of child row r;
+/// `parent_assignment` maps each task to a parent row;
+/// `removed_parent_row` is the row that left. Tasks on surviving rows
+/// keep their executor; tasks on the removed row are reinserted greedily
+/// (cheapest feasible surviving GSP under the deadline), then a
+/// relocation polish restricted to the moved tasks runs until no moved
+/// task improves (at most `polish_passes` passes). The result satisfies
+/// (11)-(13) by construction whenever ok is true.
 [[nodiscard]] RepairResult repair_for_removal(
-    const AssignmentInstance& inst, const std::vector<std::size_t>& rows,
+    const SolveKernel& kernel, const std::vector<std::size_t>& rows,
     const Assignment& parent_assignment, std::size_t removed_parent_row,
     std::size_t polish_passes = 8);
 

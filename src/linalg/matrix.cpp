@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace svo::linalg {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+
+Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
+    : rows_(rows), cols_(cols), data_(std::move(data)) {
+  if (data_.size() != rows * cols) {
+    throw DimensionMismatch("Matrix: data size != rows * cols");
+  }
+}
 
 Matrix Matrix::from_rows(const std::vector<std::vector<double>>& data) {
   if (data.empty()) return {};

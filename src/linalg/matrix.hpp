@@ -21,6 +21,10 @@ class Matrix {
   /// rows x cols matrix filled with `fill`.
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
+  /// rows x cols matrix over row-major `data`. Throws DimensionMismatch
+  /// unless data.size() == rows * cols.
+  Matrix(std::size_t rows, std::size_t cols, std::vector<double> data);
+
   /// Build from nested initializer-style data; every row must have the
   /// same length. Throws DimensionMismatch otherwise.
   static Matrix from_rows(const std::vector<std::vector<double>>& data);

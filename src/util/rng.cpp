@@ -14,14 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   // Expand the seed through SplitMix64 as recommended by the authors;
   // guarantees the all-zero state (the one invalid state) never occurs.
@@ -29,21 +21,9 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   for (auto& word : s_) word = splitmix64(sm);
 }
 
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
 Xoshiro256 Xoshiro256::split() noexcept {
   std::uint64_t mix = (*this)();
-  mix ^= rotl((*this)(), 31);
+  mix ^= std::rotl((*this)(), 31);
   return Xoshiro256(splitmix64(mix));
 }
 
@@ -79,6 +59,18 @@ std::size_t Xoshiro256::index(std::size_t n) {
     }
   }
 }
+
+namespace {
+
+std::uint64_t positive(std::uint64_t n) {
+  detail::require(n > 0, "BoundedIndex: n == 0");
+  return n;
+}
+
+}  // namespace
+
+BoundedIndex::BoundedIndex(std::uint64_t n)
+    : n_(positive(n)), threshold_((0 - n_) % n_), reciprocal_(~u128{0} / n_ + 1) {}
 
 bool Xoshiro256::bernoulli(double p) {
   detail::require(p >= 0.0 && p <= 1.0, "Xoshiro256::bernoulli: p not in [0,1]");

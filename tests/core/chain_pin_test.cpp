@@ -49,6 +49,10 @@ class RecordingSolver final : public ip::AssignmentSolver {
       const ip::WarmStart& warm) const override {
     return keep(inner_.solve(inst, warm));
   }
+  [[nodiscard]] ip::AssignmentSolution solve_from_kernel(
+      const ip::WarmStart& warm) const override {
+    return keep(inner_.solve_from_kernel(warm));
+  }
   [[nodiscard]] std::string name() const override { return "recording"; }
 
   mutable std::vector<ip::AssignmentSolution> solutions;

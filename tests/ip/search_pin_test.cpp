@@ -149,7 +149,7 @@ std::vector<std::pair<std::string, SolvePin>> bnb_grid() {
           WarmStart warm = bounds;
           if (parent_sol.has_assignment()) {
             const RepairResult r = repair_for_removal(
-                child, rows, parent_sol.assignment, removed);
+                *bounds.kernel, rows, parent_sol.assignment, removed);
             if (r.ok) {
               warm.incumbent = r.assignment;
               warm.incumbent_cost = r.cost;

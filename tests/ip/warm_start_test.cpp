@@ -1,11 +1,13 @@
 /// Tests for ip/warm_start.hpp: the removal-repair step and the
-/// warm-started B&B with derived kernels. The load-bearing
+/// warm-started B&B with derived kernels, through solve(inst, warm) and
+/// the kernel entry solve_from_kernel. The load-bearing
 /// property throughout: warm hints never change what an exact solve
 /// returns — status and cost must match the cold solve bit for bit.
 #include "ip/warm_start.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -38,7 +40,7 @@ TEST(RepairTest, KeepsSurvivorsAndReinsertsOrphans) {
   std::vector<std::size_t> rows;
   const AssignmentInstance sub = drop_row(inst, removed, &rows);
   const RepairResult r =
-      repair_for_removal(sub, rows, parent.assignment, removed);
+      repair_for_removal(SolveKernel(sub), rows, parent.assignment, removed);
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(check_feasible(sub, r.assignment).empty());
   EXPECT_DOUBLE_EQ(r.cost, assignment_cost(sub, r.assignment));
@@ -66,7 +68,7 @@ TEST(RepairTest, FailsCleanlyWhenNoGspCanAbsorb) {
   const Assignment parent = {0, 1};
   std::vector<std::size_t> rows;
   const AssignmentInstance sub = drop_row(inst, 1, &rows);
-  const RepairResult r = repair_for_removal(sub, rows, parent, 1);
+  const RepairResult r = repair_for_removal(SolveKernel(sub), rows, parent, 1);
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(r.assignment.empty());
 }
@@ -78,7 +80,7 @@ TEST(RepairTest, RejectsMappingOntoUnknownRow) {
   const AssignmentInstance sub = drop_row(inst, 3, &rows);
   Assignment parent(inst.num_tasks(), 0);
   parent[2] = 7;  // row that never existed
-  const RepairResult r = repair_for_removal(sub, rows, parent, 3);
+  const RepairResult r = repair_for_removal(SolveKernel(sub), rows, parent, 3);
   EXPECT_FALSE(r.ok);
 }
 
@@ -103,7 +105,7 @@ TEST(WarmBnbTest, WarmEqualsColdOnEveryRemoval) {
       WarmStart warm;
       warm.kernel = std::make_shared<const SolveKernel>(parent_kernel, removed);
       const RepairResult r =
-          repair_for_removal(sub, rows, parent.assignment, removed);
+          repair_for_removal(*warm.kernel, rows, parent.assignment, removed);
       if (r.ok) {
         warm.incumbent = r.assignment;
         warm.incumbent_cost = r.cost;
@@ -119,6 +121,58 @@ TEST(WarmBnbTest, WarmEqualsColdOnEveryRemoval) {
         EXPECT_EQ(hot.assignment, cold.assignment);
       }
       EXPECT_LE(hot.stats.nodes, cold.stats.nodes);
+    }
+  }
+}
+
+/// The kernel entry is the warm solve of restrict_to's output: same
+/// status, nodes, cost bits and assignment on every removal, with and
+/// without a truncating budget, +inf costs included.
+TEST(WarmBnbTest, KernelEntryEqualsRestrictedSolveOnEveryRemoval) {
+  BnbOptions truncating;
+  truncating.max_nodes = 40;
+  truncating.warm_max_nodes = 15;
+  for (const BnbOptions& opts : {BnbOptions{}, truncating}) {
+    const BnbAssignmentSolver solver(opts);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      util::Xoshiro256 rng(seed);
+      AssignmentInstance inst =
+          testing::random_instance(6, 14, rng, /*tight=*/seed % 2 == 0);
+      if (seed % 3 == 0) {
+        for (std::size_t t = 0; t < inst.num_tasks(); t += 2) {
+          inst.cost(4, t) = std::numeric_limits<double>::infinity();
+        }
+      }
+      const auto root = std::make_shared<const SolveKernel>(inst);
+      const AssignmentSolution parent = solver.solve(inst);
+      for (std::size_t removed = 0; removed < inst.num_gsps(); ++removed) {
+        std::vector<std::size_t> rows;
+        const AssignmentInstance sub = drop_row(inst, removed, &rows);
+        WarmStart warm;
+        warm.kernel = std::make_shared<const SolveKernel>(*root, removed);
+        if (parent.has_assignment()) {
+          const RepairResult r = repair_for_removal(
+              *warm.kernel, rows, parent.assignment, removed);
+          if (r.ok) {
+            warm.incumbent = r.assignment;
+            warm.incumbent_cost = r.cost;
+            warm.repair_moves = r.moves;
+          }
+        }
+        const AssignmentSolution entry = solver.solve_from_kernel(warm);
+        const AssignmentSolution restricted = solver.solve(sub, warm);
+        EXPECT_EQ(entry.stats.status, restricted.stats.status)
+            << "seed " << seed << " removed " << removed;
+        EXPECT_EQ(entry.stats.nodes, restricted.stats.nodes)
+            << "seed " << seed << " removed " << removed;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(entry.cost),
+                  std::bit_cast<std::uint64_t>(restricted.cost))
+            << "seed " << seed << " removed " << removed;
+        EXPECT_EQ(entry.assignment, restricted.assignment)
+            << "seed " << seed << " removed " << removed;
+        EXPECT_EQ(entry.stats.warm_start_used,
+                  restricted.stats.warm_start_used);
+      }
     }
   }
 }
@@ -163,7 +217,7 @@ TEST(WarmBnbTest, ReportsWarmStartTelemetry) {
   std::vector<std::size_t> rows;
   const AssignmentInstance sub = drop_row(inst, removed, &rows);
   const RepairResult r =
-      repair_for_removal(sub, rows, parent.assignment, removed);
+      repair_for_removal(SolveKernel(sub), rows, parent.assignment, removed);
   ASSERT_TRUE(r.ok);
   WarmStart warm;
   warm.incumbent = r.assignment;
@@ -259,6 +313,31 @@ TEST(WarmStartTest, BaseSolverDefaultIgnoresHints) {
   EXPECT_EQ(a.stats.status, b.stats.status);
   EXPECT_EQ(a.cost, b.cost);
   EXPECT_EQ(a.assignment, b.assignment);
+}
+
+TEST(WarmStartTest, GreedyKernelEntryEqualsColdRestrictedSolve) {
+  // GreedyAssignmentSolver overrides neither warm entry: the kernel
+  // entry's default rebuilds the instance and the hints are ignored.
+  const GreedyAssignmentSolver greedy;
+  const AssignmentSolver& base = greedy;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Xoshiro256 rng(40 + seed);
+    const AssignmentInstance inst =
+        testing::random_instance(5, 12, rng, /*tight=*/seed % 2 == 0);
+    const SolveKernel root(inst);
+    for (std::size_t removed = 0; removed < inst.num_gsps(); ++removed) {
+      std::vector<std::size_t> rows;
+      const AssignmentInstance sub = drop_row(inst, removed, &rows);
+      WarmStart warm;
+      warm.kernel = std::make_shared<const SolveKernel>(root, removed);
+      const AssignmentSolution entry = base.solve_from_kernel(warm);
+      const AssignmentSolution cold = base.solve(sub);
+      EXPECT_EQ(entry.stats.status, cold.stats.status);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(entry.cost),
+                std::bit_cast<std::uint64_t>(cold.cost));
+      EXPECT_EQ(entry.assignment, cold.assignment);
+    }
+  }
 }
 
 TEST(SolveStatsTest, AccumulateSumsAndLatches) {
