@@ -32,6 +32,7 @@ const CoalitionEvaluation& VoValueFunction::evaluate_impl(
                         (c.bits() | Coalition::all(inst_.num_gsps()).bits()),
                     "VoValueFunction: coalition has players outside the game");
     const std::vector<std::size_t> original = c.members();
+    const std::vector<bool> keep = c.mask(inst_.num_gsps());
     ip::AssignmentSolution sol;
     if (hint != nullptr) {
       // Derive from the kept kernel when it is the parent coalition's:
@@ -46,7 +47,7 @@ const CoalitionEvaluation& VoValueFunction::evaluate_impl(
         kernel_ = std::make_shared<const ip::SolveKernel>(inst_);
       } else {
         kernel_ = std::make_shared<const ip::SolveKernel>(
-            inst_.restrict_to(c.mask(inst_.num_gsps())));
+            inst_.restrict_to(keep));
       }
       kernel_coalition_ = c;
       ip::WarmStart warm;
@@ -61,9 +62,9 @@ const CoalitionEvaluation& VoValueFunction::evaluate_impl(
           warm.repair_moves = repaired.moves;
         }
       }
-      sol = solver_.solve_from_kernel(warm);
+      sol = solver_.solve_from_kernel(inst_, keep, warm);
     } else {
-      sol = solver_.solve(inst_.restrict_to(c.mask(inst_.num_gsps())));
+      sol = solver_.solve(inst_.restrict_to(keep));
     }
     eval.stats = sol.stats;
     if (sol.has_assignment()) {

@@ -13,10 +13,9 @@ AssignmentSolution AssignmentSolver::solve(const AssignmentInstance& inst,
 }
 
 AssignmentSolution AssignmentSolver::solve_from_kernel(
+    const AssignmentInstance& full, const std::vector<bool>& keep,
     const WarmStart& warm) const {
-  detail::require(warm.kernel != nullptr,
-                  "AssignmentSolver::solve_from_kernel: no kernel");
-  return solve(warm.kernel->instance(), warm);
+  return solve(full.restrict_to(keep), warm);
 }
 
 const char* to_string(AssignStatus s) noexcept {

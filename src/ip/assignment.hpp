@@ -141,13 +141,14 @@ class AssignmentSolver {
   /// solver correct without modification.
   [[nodiscard]] virtual AssignmentSolution solve(const AssignmentInstance& inst,
                                                 const WarmStart& warm) const;
-  /// Warm-started solve of the instance `warm.kernel` describes, which
-  /// must be non-null: Algorithm 1's warm chain hands over the kernel it
-  /// derived and no GSP-major instance. The default rebuilds that
-  /// instance from the kernel (bit-equal to restrict_to's output) and
+  /// Warm-started solve of full.restrict_to(keep), whose solve kernel
+  /// `warm.kernel` must be: Algorithm 1's warm chain hands over the
+  /// kernel it derived. The default builds restrict_to's output and
   /// calls solve(inst, warm), so a solver that overrides only the two
-  /// entries above works unchanged.
+  /// entries above works unchanged; a solver that reads kernels can
+  /// solve on `warm.kernel` alone and build no instance.
   [[nodiscard]] virtual AssignmentSolution solve_from_kernel(
+      const AssignmentInstance& full, const std::vector<bool>& keep,
       const WarmStart& warm) const;
   /// Identifying name for logs and benchmark tables.
   [[nodiscard]] virtual std::string name() const = 0;

@@ -171,6 +171,7 @@ AssignmentSolution BnbAssignmentSolver::solve(const AssignmentInstance& inst,
 }
 
 AssignmentSolution BnbAssignmentSolver::solve_from_kernel(
+    const AssignmentInstance& /*full*/, const std::vector<bool>& /*keep*/,
     const WarmStart& warm) const {
   detail::require(warm.kernel != nullptr,
                   "BnbAssignmentSolver::solve_from_kernel: no kernel");

@@ -60,10 +60,12 @@ class BnbAssignmentSolver final : public AssignmentSolver {
   /// pruning — a run to proof returns the same status and cost as cold.
   [[nodiscard]] AssignmentSolution solve(const AssignmentInstance& inst,
                                          const WarmStart& warm) const override;
-  /// The warm solve above on `warm.kernel` itself: the warm-incumbent
-  /// check and the canonical cost read the kernel, so no GSP-major
-  /// instance is needed.
+  /// The warm solve above on `warm.kernel` itself, which must be
+  /// non-null; `full` and `keep` are not read. The warm-incumbent check
+  /// and the canonical cost read the kernel, so no GSP-major instance is
+  /// built.
   [[nodiscard]] AssignmentSolution solve_from_kernel(
+      const AssignmentInstance& full, const std::vector<bool>& keep,
       const WarmStart& warm) const override;
   [[nodiscard]] std::string name() const override { return "bnb"; }
 

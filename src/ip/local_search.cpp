@@ -120,15 +120,16 @@ std::uint64_t screen(const SolveKernel& kernel, const Assignment& a,
 /// partner the screen passes. After that, the task's remaining partners
 /// go through try_swap in order.
 bool sampled_swap_pass(const SolveKernel& kernel, Assignment& a, State& st,
-                       util::Xoshiro256& rng, const util::BoundedIndex& draw,
-                       std::size_t samples) {
+                       util::Xoshiro256& rng, std::size_t samples) {
   std::size_t partners[kScreenBlock];
   bool improved = false;
   for (std::size_t t = 0; t < a.size(); ++t) {
     bool swapped = false;
     for (std::size_t first = 0; first < samples; first += kScreenBlock) {
       const std::size_t count = std::min(kScreenBlock, samples - first);
-      for (std::size_t i = 0; i < count; ++i) partners[i] = draw(rng);
+      for (std::size_t i = 0; i < count; ++i) {
+        partners[i] = rng.index(a.size());
+      }
       std::size_t i = 0;
       if (!swapped) {
         for (std::uint64_t mask = screen(kernel, a, t, partners, count);
@@ -168,7 +169,6 @@ double local_search(const SolveKernel& kernel, Assignment& a,
   }
   if (opts.max_swap_passes > 0 && kernel.num_gsps() > 1 && a.size() > 1) {
     util::Xoshiro256 rng(opts.seed);
-    const util::BoundedIndex draw(a.size());
     for (std::size_t pass = 0; pass < opts.max_swap_passes; ++pass) {
       bool improved = false;
       if (opts.swap_sample_per_task == 0) {
@@ -178,8 +178,8 @@ double local_search(const SolveKernel& kernel, Assignment& a,
           }
         }
       } else {
-        improved = sampled_swap_pass(kernel, a, st, rng, draw,
-                                     opts.swap_sample_per_task);
+        improved =
+            sampled_swap_pass(kernel, a, st, rng, opts.swap_sample_per_task);
       }
       // A swap pass may open relocation opportunities.
       if (improved) {

@@ -5,7 +5,6 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
-#include <utility>
 
 namespace svo::ip {
 
@@ -90,25 +89,6 @@ SolveKernel::SolveKernel(const AssignmentInstance& inst)
                    [&](std::size_t a, std::size_t b) {
                      return regret_[a] > regret_[b];
                    });
-}
-
-AssignmentInstance SolveKernel::instance() const {
-  const auto gsp_major = [this](const double* task_major) {
-    std::vector<double> data(k_ * n_);
-    for (std::size_t t = 0; t < n_; ++t) {
-      for (std::size_t g = 0; g < k_; ++g) {
-        data[g * n_ + t] = task_major[t * k_ + g];
-      }
-    }
-    return linalg::Matrix(k_, n_, std::move(data));
-  };
-  AssignmentInstance inst;
-  inst.cost = gsp_major(cost_.get());
-  inst.time = gsp_major(time_.get());
-  inst.deadline = deadline_;
-  inst.payment = payment_;
-  inst.require_all_gsps_used = require_all_gsps_used_;
-  return inst;
 }
 
 void SolveKernel::retarget(double deadline, double payment) {

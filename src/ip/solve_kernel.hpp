@@ -60,11 +60,6 @@ class SolveKernel {
   /// True when this kernel was derived from a parent kernel.
   [[nodiscard]] bool derived() const noexcept { return derived_; }
 
-  /// The instance this kernel describes, GSP-major again: bit-equal to
-  /// the instance it was built from, or, for a derived kernel, to
-  /// AssignmentInstance::restrict_to's output for its rows.
-  [[nodiscard]] AssignmentInstance instance() const;
-
   [[nodiscard]] std::size_t num_gsps() const noexcept { return k_; }
   [[nodiscard]] std::size_t num_tasks() const noexcept { return n_; }
   [[nodiscard]] double deadline() const noexcept { return deadline_; }

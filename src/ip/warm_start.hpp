@@ -42,10 +42,11 @@ struct WarmStart {
   std::size_t repair_moves = 0;
   /// The solve kernel of the instance being solved, built or derived by
   /// the caller (game::VoValueFunction keeps the chain). For
-  /// AssignmentSolver::solve_from_kernel it *is* the instance. A solver
-  /// that reads kernels in solve(inst, warm) uses it only when its
-  /// shape, deadline, payment and (13) flag match `inst`; its contents
-  /// are trusted.
+  /// AssignmentSolver::solve_from_kernel it must be the kernel of
+  /// full.restrict_to(keep), and a kernel-reading solver solves on it
+  /// alone. A solver that reads kernels in solve(inst, warm) uses it
+  /// only when its shape, deadline, payment and (13) flag match `inst`;
+  /// its contents are trusted.
   std::shared_ptr<const SolveKernel> kernel;
 
   [[nodiscard]] bool has_incumbent() const noexcept {

@@ -60,18 +60,6 @@ std::size_t Xoshiro256::index(std::size_t n) {
   }
 }
 
-namespace {
-
-std::uint64_t positive(std::uint64_t n) {
-  detail::require(n > 0, "BoundedIndex: n == 0");
-  return n;
-}
-
-}  // namespace
-
-BoundedIndex::BoundedIndex(std::uint64_t n)
-    : n_(positive(n)), threshold_((0 - n_) % n_), reciprocal_(~u128{0} / n_ + 1) {}
-
 bool Xoshiro256::bernoulli(double p) {
   detail::require(p >= 0.0 && p <= 1.0, "Xoshiro256::bernoulli: p not in [0,1]");
   return uniform() < p;

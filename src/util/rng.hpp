@@ -104,45 +104,6 @@ class Xoshiro256 {
   double cached_normal_ = 0.0;
 };
 
-/// Xoshiro256::index(n) for one fixed n, without a division per draw.
-/// The rejection threshold 2^64 mod n and the reciprocal ceil(2^128 / n)
-/// are computed once; each draw's remainder then comes from two
-/// multiplications (D. Lemire, O. Kaser and N. Kurz, "Faster Remainder
-/// by Direct Computation", Software: Practice and Experience 49(6),
-/// 2019), exact for every 64-bit draw and n. A draw consumes and returns
-/// exactly what index(n) does, rejections included.
-class BoundedIndex {
- public:
-  /// Requires n > 0.
-  explicit BoundedIndex(std::uint64_t n);
-
-  /// The next index(n) of `rng`.
-  [[nodiscard]] std::size_t operator()(Xoshiro256& rng) const noexcept {
-    for (;;) {
-      const std::uint64_t r = rng();
-      if (r >= threshold_) return static_cast<std::size_t>(remainder(r));
-    }
-  }
-
- private:
-  // -Wpedantic rejects a bare unsigned __int128.
-  __extension__ typedef unsigned __int128 u128;
-
-  /// r mod n, by direct computation from the reciprocal: the low 128
-  /// bits of reciprocal * r hold the fraction r / n, and their product
-  /// with n, shifted down 128 bits, is the remainder.
-  [[nodiscard]] std::uint64_t remainder(std::uint64_t r) const noexcept {
-    const u128 fraction = reciprocal_ * r;
-    const u128 low = static_cast<u128>(static_cast<std::uint64_t>(fraction)) * n_;
-    const u128 high = static_cast<u128>(static_cast<std::uint64_t>(fraction >> 64)) * n_;
-    return static_cast<std::uint64_t>((high + (low >> 64)) >> 64);
-  }
-
-  std::uint64_t n_;
-  std::uint64_t threshold_;  ///< 2^64 mod n: draws below it are rejected
-  u128 reciprocal_;          ///< ceil(2^128 / n) mod 2^128 (0 for n = 1)
-};
-
 /// Derive a child seed for a named substream. Deterministic in
 /// (seed, stream): lets experiment code give each (repetition, module)
 /// pair its own independent generator.

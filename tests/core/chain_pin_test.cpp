@@ -50,8 +50,9 @@ class RecordingSolver final : public ip::AssignmentSolver {
     return keep(inner_.solve(inst, warm));
   }
   [[nodiscard]] ip::AssignmentSolution solve_from_kernel(
+      const ip::AssignmentInstance& full, const std::vector<bool>& mask,
       const ip::WarmStart& warm) const override {
-    return keep(inner_.solve_from_kernel(warm));
+    return keep(inner_.solve_from_kernel(full, mask, warm));
   }
   [[nodiscard]] std::string name() const override { return "recording"; }
 

@@ -290,42 +290,6 @@ TEST(LocalSearchTest, ExhaustiveAndSampledAgreeOnFeasibility) {
   }
 }
 
-/// BoundedIndex must be Xoshiro256::index draw for draw, and consume
-/// the generator identically, at the edges of the 64-bit range too.
-TEST(BoundedIndexTest, EqualsIndexDrawForDraw) {
-  constexpr int kDraws = 100'000;
-  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
-  const std::uint64_t bounds[] = {1,
-                                  2,
-                                  3,
-                                  24,
-                                  8192,
-                                  (std::uint64_t{1} << 32) - 1,
-                                  (std::uint64_t{1} << 32) + 1,
-                                  kTwo63,
-                                  kTwo63 + 1,
-                                  ~std::uint64_t{0}};
-  for (const std::uint64_t n : bounds) {
-    util::Xoshiro256 slow(n ^ 0x5eed);
-    util::Xoshiro256 fast = slow;
-    util::Xoshiro256 plain = slow;
-    const util::BoundedIndex draw(n);
-    for (int i = 0; i < kDraws; ++i) {
-      ASSERT_EQ(draw(fast), slow.index(n)) << "n " << n << " draw " << i;
-      (void)plain();
-    }
-    EXPECT_EQ(fast(), slow()) << "n " << n;
-    // A rejected draw advances the generator once more than plain's
-    // one step per draw. About half of all draws fall below 2^64 mod n
-    // = 2^63 - 1 when n = 2^63 + 1.
-    const bool rejected = fast() != plain();
-    if (n == kTwo63 + 1) {
-      EXPECT_TRUE(rejected);
-    }
-  }
-  EXPECT_THROW(util::BoundedIndex(0), InvalidArgument);
-}
-
 TEST(LocalSearchTest, RejectsInfeasibleEntry) {
   AssignmentInstance inst;
   inst.cost = linalg::Matrix(2, 2, 1.0);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "ip/bnb.hpp"
 #include "ip/greedy.hpp"
@@ -19,14 +20,20 @@
 namespace svo::ip {
 namespace {
 
+/// Mask keeping every row of `inst` except `removed`.
+std::vector<bool> all_but(const AssignmentInstance& inst,
+                          std::size_t removed) {
+  std::vector<bool> keep(inst.num_gsps(), true);
+  keep[removed] = false;
+  return keep;
+}
+
 /// Restrict `inst` to all rows except `removed`; fills `rows` with the
 /// surviving parent indices.
 AssignmentInstance drop_row(const AssignmentInstance& inst,
                             std::size_t removed,
                             std::vector<std::size_t>* rows) {
-  std::vector<bool> keep(inst.num_gsps(), true);
-  keep[removed] = false;
-  return inst.restrict_to(keep, rows);
+  return inst.restrict_to(all_but(inst, removed), rows);
 }
 
 TEST(RepairTest, KeepsSurvivorsAndReinsertsOrphans) {
@@ -159,7 +166,8 @@ TEST(WarmBnbTest, KernelEntryEqualsRestrictedSolveOnEveryRemoval) {
             warm.repair_moves = r.moves;
           }
         }
-        const AssignmentSolution entry = solver.solve_from_kernel(warm);
+        const AssignmentSolution entry =
+            solver.solve_from_kernel(inst, all_but(inst, removed), warm);
         const AssignmentSolution restricted = solver.solve(sub, warm);
         EXPECT_EQ(entry.stats.status, restricted.stats.status)
             << "seed " << seed << " removed " << removed;
@@ -317,7 +325,8 @@ TEST(WarmStartTest, BaseSolverDefaultIgnoresHints) {
 
 TEST(WarmStartTest, GreedyKernelEntryEqualsColdRestrictedSolve) {
   // GreedyAssignmentSolver overrides neither warm entry: the kernel
-  // entry's default rebuilds the instance and the hints are ignored.
+  // entry's default solves restrict_to's output and the hints are
+  // ignored.
   const GreedyAssignmentSolver greedy;
   const AssignmentSolver& base = greedy;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -330,7 +339,8 @@ TEST(WarmStartTest, GreedyKernelEntryEqualsColdRestrictedSolve) {
       const AssignmentInstance sub = drop_row(inst, removed, &rows);
       WarmStart warm;
       warm.kernel = std::make_shared<const SolveKernel>(root, removed);
-      const AssignmentSolution entry = base.solve_from_kernel(warm);
+      const AssignmentSolution entry =
+          base.solve_from_kernel(inst, all_but(inst, removed), warm);
       const AssignmentSolution cold = base.solve(sub);
       EXPECT_EQ(entry.stats.status, cold.stats.status);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(entry.cost),
