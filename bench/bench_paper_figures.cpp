@@ -45,9 +45,18 @@ struct Work {
   /// Nodes of solves that ended Unknown: the budget ran out before any
   /// incumbent, so the work found nothing and proved nothing.
   long long no_incumbent_nodes = 0;
+  std::size_t runs = 0;
+  /// Runs whose last solve, the one that stops Algorithm 1, ended
+  /// Infeasible: the loop stopped on a proof, not on a spent budget.
+  std::size_t terminal_infeasible = 0;
 
   void add(const core::MechanismResult& r) {
     nodes += static_cast<long long>(r.stats.nodes);
+    ++runs;
+    if (!r.journal.empty() &&
+        r.journal.back().stats.status == ip::AssignStatus::Infeasible) {
+      ++terminal_infeasible;
+    }
     for (const core::IterationRecord& it : r.journal) {
       ++solves;
       if (it.stats.status == ip::AssignStatus::Feasible ||
@@ -68,6 +77,11 @@ struct Work {
     return nodes > 0 ? static_cast<double>(no_incumbent_nodes) /
                            static_cast<double>(nodes)
                      : 0.0;
+  }
+  [[nodiscard]] double terminal_infeasible_share() const {
+    return runs > 0 ? static_cast<double>(terminal_infeasible) /
+                          static_cast<double>(runs)
+                    : 0.0;
   }
 };
 
@@ -229,7 +243,9 @@ void fig9(const sim::SweepResult& sweep, const Runs& runs) {
                      "RVOF stddev", "TVOF nodes", "RVOF nodes",
                      "TVOF budget-hit share", "RVOF budget-hit share",
                      "TVOF no-incumbent node share",
-                     "RVOF no-incumbent node share"});
+                     "RVOF no-incumbent node share",
+                     "TVOF terminal proven infeasible",
+                     "RVOF terminal proven infeasible"});
   table.set_precision(4);
   for (std::size_t i = 0; i < sweep.points.size(); ++i) {
     const sim::SweepPoint& p = sweep.points[i];
@@ -240,7 +256,9 @@ void fig9(const sim::SweepResult& sweep, const Runs& runs) {
                    runs.tvof_work[i].hit_share(),
                    runs.rvof_work[i].hit_share(),
                    runs.tvof_work[i].no_incumbent_share(),
-                   runs.rvof_work[i].no_incumbent_share()});
+                   runs.rvof_work[i].no_incumbent_share(),
+                   runs.tvof_work[i].terminal_infeasible_share(),
+                   runs.rvof_work[i].terminal_infeasible_share()});
   }
   bench::emit(table, "fig9_exec_time.csv");
   const double first = sweep.points.front().tvof.exec_seconds.mean();

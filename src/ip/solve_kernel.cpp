@@ -188,4 +188,40 @@ bool feasible(const SolveKernel& kernel, const Assignment& a) {
   return !(total_cost > kernel.payment() + tol);
 }
 
+bool capacity_infeasible(const SolveKernel& kernel, double tolerance) {
+  const double cap = kernel.deadline() + tolerance;
+  if (!std::isfinite(cap)) return false;
+  const std::size_t k = kernel.num_gsps();
+  const std::size_t n = kernel.num_tasks();
+  // Pass 1: each GSP's column sum, and whether every task fits somewhere.
+  std::vector<double> weight(k, 0.0);
+  for (std::size_t t = 0; t < n; ++t) {
+    const double* times = kernel.times(t);
+    bool fits = false;
+    for (std::size_t g = 0; g < k; ++g) {
+      weight[g] += times[g];
+      fits |= times[g] <= cap;
+    }
+    if (!fits) return true;
+  }
+  double capacity = 0.0;
+  for (double& w : weight) {
+    if (!std::isfinite(w)) return false;
+    w = 1.0 / w;
+    capacity += w;
+  }
+  capacity *= cap * (1.0 + 1e-9);
+  // Pass 2: each task's least weighted time over the GSPs it fits on.
+  double need = 0.0;
+  for (std::size_t t = 0; t < n; ++t) {
+    const double* times = kernel.times(t);
+    double least = std::numeric_limits<double>::infinity();
+    for (std::size_t g = 0; g < k; ++g) {
+      if (times[g] <= cap) least = std::min(least, weight[g] * times[g]);
+    }
+    need += least;
+  }
+  return std::isfinite(need) && need > capacity;
+}
+
 }  // namespace svo::ip

@@ -121,4 +121,22 @@ class SolveKernel {
 /// sums in the same order.
 [[nodiscard]] bool feasible(const SolveKernel& kernel, const Assignment& a);
 
+/// True when a capacity certificate proves that no assignment keeps every
+/// GSP's load within d + `tolerance`, where d is the kernel's deadline:
+/// a Farkas certificate for the LP relaxation of (11)-(12), LP(d) of
+/// Lenstra, Shmoys and Tardos (Math. Programming 46, 1990). With c = d +
+/// `tolerance` and each GSP weighted by mu_g = 1 / sum_t t(g, t):
+///  - any such assignment has sum_g mu_g load_g <= c sum_g mu_g;
+///  - the same sum, taken task by task, is at least need = sum_t of the
+///    least mu_g t(g, t) over the GSPs with t(g, t) <= c.
+/// So it fires when need > c sum_g mu_g (1 + 1e-9), or when a task fits
+/// on no GSP. The 1e-9 relative margin covers the rounding of either
+/// summation order, at most n 2^-53. Under consistent times (t(g, t) =
+/// w_t / s_g) the weights are proportional to the speeds s_g, and the
+/// test reads "the tasks' work exceeds c times the total speed". (10)
+/// and (13) are ignored, which can only miss proofs. A non-finite c,
+/// column sum or need never certifies. Two O(nk) passes.
+[[nodiscard]] bool capacity_infeasible(const SolveKernel& kernel,
+                                       double tolerance);
+
 }  // namespace svo::ip

@@ -187,14 +187,14 @@ const std::vector<Row> kChainPins = {
     {"m5 n48 unif TVOF it1", 3ULL, 0, 0U, 0x406bd491a218d4f5ULL, 0x54e661db56d365a7ULL},
     {"m5 n48 unif TVOF it2", 2ULL, 0, 47U, 0x40719b6f46baa99eULL, 0x3b20a0b6cd4ce926ULL},
     {"m5 n48 unif TVOF it3", 0ULL, 0, 297U, 0x40735a55a1e5f035ULL, 0x601e5888fc0d9bc4ULL},
-    {"m5 n48 unif TVOF it4", 18446744073709551615ULL, 2, 31U, 0x0ULL, 0xcbf29ce484222325ULL},
-    {"m5 n48 unif TVOF vo", 3ULL, 1, 375U, 0x40735a55a1e5f035ULL, 0x601e5888fc0d9bc4ULL},
+    {"m5 n48 unif TVOF it4", 18446744073709551615ULL, 2, 0U, 0x0ULL, 0xcbf29ce484222325ULL},
+    {"m5 n48 unif TVOF vo", 3ULL, 1, 344U, 0x40735a55a1e5f035ULL, 0x601e5888fc0d9bc4ULL},
     {"m5 n48 unif RVOF it0", 4ULL, 0, 0U, 0x406a01d3de829f9cULL, 0xb5e3ec2acac38567ULL},
     {"m5 n48 unif RVOF it1", 0ULL, 0, 0U, 0x406bd491a218d4f5ULL, 0x54e661db56d365a7ULL},
     {"m5 n48 unif RVOF it2", 3ULL, 0, 0U, 0x406ea7279334c212ULL, 0xd26c866542a54046ULL},
     {"m5 n48 unif RVOF it3", 1ULL, 0, 1503U, 0x407509013e8fe22bULL, 0xeee0dff553f3f764ULL},
-    {"m5 n48 unif RVOF it4", 18446744073709551615ULL, 2, 34U, 0x0ULL, 0xcbf29ce484222325ULL},
-    {"m5 n48 unif RVOF vo", 6ULL, 1, 1537U, 0x407509013e8fe22bULL, 0xb9ef922c4d6fbda6ULL},
+    {"m5 n48 unif RVOF it4", 18446744073709551615ULL, 2, 0U, 0x0ULL, 0xcbf29ce484222325ULL},
+    {"m5 n48 unif RVOF vo", 6ULL, 1, 1503U, 0x407509013e8fe22bULL, 0xb9ef922c4d6fbda6ULL},
     {"m16 n1024 unif TVOF it0", 2ULL, 1, 2000U, 0x40a2acc9095e8958ULL, 0x97cdbedf029c5dedULL},
     {"m16 n1024 unif TVOF it1", 9ULL, 1, 2000U, 0x40a2dfb48134bbfeULL, 0x6ecb3bb44b3fef4dULL},
     {"m16 n1024 unif TVOF it2", 6ULL, 1, 2000U, 0x40a34596b90abb77ULL, 0x119e56ffe23b000ULL},
@@ -254,8 +254,8 @@ const std::vector<Row> kChainPins = {
     {"m5 n1024 inf RVOF it1", 2ULL, 0, 0U, 0x40b6b36c9f610ca7ULL, 0xb77a426818cfb3c5ULL},
     {"m5 n1024 inf RVOF it2", 3ULL, 1, 2000U, 0x40bac69763524d3bULL, 0x526768a0dbc563a4ULL},
     {"m5 n1024 inf RVOF it3", 4ULL, 1, 2000U, 0x40bd736e758dac83ULL, 0xdc3ebe151a736445ULL},
-    {"m5 n1024 inf RVOF it4", 18446744073709551615ULL, 2, 681U, 0x0ULL, 0xcbf29ce484222325ULL},
-    {"m5 n1024 inf RVOF vo", 17ULL, 1, 4681U, 0x40bd736e758dac83ULL, 0x4387ec5c30cfa7a5ULL},
+    {"m5 n1024 inf RVOF it4", 18446744073709551615ULL, 2, 0U, 0x0ULL, 0xcbf29ce484222325ULL},
+    {"m5 n1024 inf RVOF vo", 17ULL, 1, 4000U, 0x40bd736e758dac83ULL, 0x4387ec5c30cfa7a5ULL},
     {"m16 n1024 warmcap TVOF it0", 7ULL, 0, 0U, 0x40a8064bef829ed2ULL, 0xf74398375b71ebcaULL},
     {"m16 n1024 warmcap TVOF it1", 9ULL, 0, 0U, 0x40a8e0e8c2f953c7ULL, 0x8c70533cfe8057a9ULL},
     {"m16 n1024 warmcap TVOF it2", 1ULL, 0, 0U, 0x40a997bca7e1ef92ULL, 0x1350b29f96915526ULL},

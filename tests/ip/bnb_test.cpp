@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ip/warm_start.hpp"
 #include "tests/ip/test_instances.hpp"
 
 namespace svo::ip {
@@ -52,6 +53,29 @@ TEST(BnbTest, InfeasibleWhenDeadlineTooTight) {
   inst.payment = 100.0;
   EXPECT_EQ(BnbAssignmentSolver().solve(inst).stats.status,
             AssignStatus::Infeasible);
+}
+
+TEST(BnbTest, ScreensUseTheSearchTolerance) {
+  // The task overruns the deadline by less than the search's tolerance,
+  // which check_feasible accepts: a root screen that compared against the
+  // bare deadline would prove the cold solve infeasible while the warm
+  // solve, seeded with {0}, returned it as optimal.
+  AssignmentInstance inst;
+  inst.cost = linalg::Matrix(1, 1, 1.0);
+  inst.time = linalg::Matrix(1, 1, 1.0 + 0.5e-9);
+  inst.deadline = 1.0;
+  inst.payment = 10.0;
+  ASSERT_EQ(check_feasible(inst, Assignment{0}), "");
+  const BnbAssignmentSolver solver;
+  WarmStart warm;
+  warm.incumbent = {0};
+  warm.incumbent_cost = 1.0;
+  for (const AssignmentSolution& sol : {solver.solve(inst),
+                                        solver.solve(inst, warm)}) {
+    EXPECT_EQ(sol.stats.status, AssignStatus::Optimal);
+    EXPECT_EQ(sol.cost, 1.0);
+    EXPECT_EQ(sol.assignment, Assignment{0});
+  }
 }
 
 TEST(BnbTest, InfeasibleWhenPaymentTooLow) {
