@@ -13,6 +13,13 @@
 ///    minimum costs of the unassigned suffix (monotone, O(1) per node);
 ///  - pruning against the incumbent, the payment cap (10), per-GSP
 ///    deadline capacity (11), and a coverage counting argument for (13).
+///
+/// Root screens, each a proof that the DFS would accept no leaf, so a
+/// solve they fire on ends Infeasible at 0 nodes: more GSPs than tasks
+/// under (13), and, when no incumbent was seeded,
+/// capacity_infeasible (ip/solve_kernel.hpp) at the DFS's deadline
+/// tolerance. The certificate subsumes "some task fits on no GSP". It
+/// cannot fire beside an incumbent, so a seeded solve skips it.
 #pragma once
 
 #include "ip/assignment.hpp"
@@ -45,9 +52,14 @@ struct BnbOptions {
 
 /// Branch-and-bound solver. Status semantics:
 ///  - Optimal:    search space exhausted, incumbent proven optimal;
-///  - Infeasible: search space exhausted without any feasible leaf;
+///  - Infeasible: proven that no assignment satisfies (10)-(13): a root
+///                screen fired, or the space was exhausted without any
+///                feasible leaf;
 ///  - Feasible:   budget hit, best incumbent returned;
-///  - Unknown:    budget hit before any incumbent was found.
+///  - Unknown:    budget hit before any incumbent was found, on a
+///                coalition the root screens could not prove infeasible
+///                (its LP relaxation may be feasible; (10) and (13) are
+///                not screened).
 class BnbAssignmentSolver final : public AssignmentSolver {
  public:
   explicit BnbAssignmentSolver(BnbOptions opts = {}) : opts_(opts) {}
