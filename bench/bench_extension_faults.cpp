@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/distributed_tvof.hpp"
 #include "core/rvof.hpp"
 #include "core/tvof.hpp"
 #include "ip/bnb.hpp"
 #include "sim/execution.hpp"
+#include "sim/protocol.hpp"
 #include "tests/ip/test_instances.hpp"
 
 namespace {
@@ -77,7 +77,7 @@ int main() {
             sim::ReliabilityModel::bimodal(kGsps, 0.6, 0.85, 0.3, pop);
         const trust::TrustGraph trust = trust_from_reliability(model, pop);
 
-        core::ProtocolOptions proto;
+        sim::ProtocolOptions proto;
         proto.latency.base_seconds = 0.025;       // WAN round-half: 25 ms
         proto.latency.bytes_per_second = 1.25e7;  // 100 Mbit/s links
         proto.latency.jitter = 0.2;
@@ -91,14 +91,14 @@ int main() {
         // protocol's working window (the paper's defaulting GSP). The
         // horizon matches the protocol's actual span (~0.2 s under this
         // latency model) so crashes land mid-formation, not after it.
-        proto.faults.crashes = core::gsp_crash_schedule(
+        proto.faults.crashes = sim::gsp_crash_schedule(
             des::random_crash_windows(kGsps, crash, 0.2, 0.0, 77 + rep));
 
         const auto realized = [&](const core::VoFormationMechanism& mech,
                                   std::uint64_t seed) {
           util::Xoshiro256 rng(seed);
-          const core::DistributedRunResult r =
-              core::run_distributed(mech, inst, trust, rng, proto);
+          const sim::DistributedRunResult r =
+              sim::run_distributed(mech, inst, trust, rng, proto);
           double value = 0.0;
           if (r.mechanism.success) {
             util::Xoshiro256 exec_rng(seed ^ 0xE0E0);

@@ -1,19 +1,19 @@
 /// \file bench_extension_protocol.cpp
-/// Extension: the trusted-party protocol (des/ + core/distributed_tvof)
+/// Extension: the trusted-party protocol (des/ + sim/protocol)
 /// made measurable — wire messages, bytes and end-to-end latency of one
 /// VO formation as the grid (m) and the program (n) grow, under a
 /// WAN-ish latency model.
 #include "bench/common.hpp"
-#include "core/distributed_tvof.hpp"
 #include "core/tvof.hpp"
 #include "ip/bnb.hpp"
+#include "sim/protocol.hpp"
 #include "tests/ip/test_instances.hpp"
 
 int main() {
   using namespace svo;
   const bench::Session session("Extension", "trusted-party protocol cost (messages/bytes)");
 
-  core::ProtocolOptions proto;
+  sim::ProtocolOptions proto;
   proto.latency.base_seconds = 0.025;         // WAN round-half: 25 ms
   proto.latency.bytes_per_second = 1.25e7;    // 100 Mbit/s links
   proto.latency.jitter = 0.2;
@@ -31,8 +31,8 @@ int main() {
     ip::AssignmentInstance inst = ip::testing::random_instance(m, n, gen);
     const trust::TrustGraph trust = trust::random_trust_graph(m, 0.2, gen);
     util::Xoshiro256 rng(7);
-    const core::DistributedRunResult r =
-        core::run_distributed(tvof, inst, trust, rng, proto);
+    const sim::DistributedRunResult r =
+        sim::run_distributed(tvof, inst, trust, rng, proto);
     table.add_row({static_cast<long long>(m), static_cast<long long>(n),
                    static_cast<long long>(r.protocol.messages),
                    static_cast<double>(r.protocol.bytes) / 1024.0,

@@ -84,7 +84,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/distributed_tvof.hpp"
 #include "core/rvof.hpp"
 #include "core/tvof.hpp"
 #include "ip/bnb.hpp"
@@ -96,6 +95,7 @@
 #include "sim/adversary.hpp"
 #include "sim/learning.hpp"
 #include "sim/multi_program.hpp"
+#include "sim/protocol.hpp"
 #include "sim/runner.hpp"
 #include "sim/stream_engine.hpp"
 #include "svc/fault_plan.hpp"
@@ -292,7 +292,7 @@ int cmd_faults(int argc, char** argv) {
       workload::generate_instance(program, gopts, rng);
   const trust::TrustGraph trust = trust::random_trust_graph(gsps, 0.4, rng);
 
-  core::ProtocolOptions proto;
+  sim::ProtocolOptions proto;
   proto.latency.base_seconds = 0.025;
   proto.latency.bytes_per_second = 1.25e7;
   proto.latency.jitter = 0.2;
@@ -302,17 +302,17 @@ int cmd_faults(int argc, char** argv) {
   proto.faults.straggler_probability = 0.05;
   proto.faults.straggler_multiplier = 4.0;
   proto.faults.seed = seed ^ 0xFA117;
-  proto.faults.crashes = core::gsp_crash_schedule(
+  proto.faults.crashes = sim::gsp_crash_schedule(
       des::random_crash_windows(gsps, crash, 0.2, 0.0, seed ^ 0xC4A5));
 
   const ip::BnbAssignmentSolver solver;
-  core::DistributedRunResult r;
+  sim::DistributedRunResult r;
   if (mechanism == "rvof") {
-    r = core::run_distributed(core::RvofMechanism(solver), grid.assignment,
-                              trust, rng, proto);
+    r = sim::run_distributed(core::RvofMechanism(solver), grid.assignment,
+                             trust, rng, proto);
   } else if (mechanism == "tvof") {
-    r = core::run_distributed(core::TvofMechanism(solver), grid.assignment,
-                              trust, rng, proto);
+    r = sim::run_distributed(core::TvofMechanism(solver), grid.assignment,
+                             trust, rng, proto);
   } else {
     std::fprintf(stderr, "unknown --mechanism %s\n", mechanism.c_str());
     return 2;

@@ -3,7 +3,7 @@
 /// by a trusted party that also facilitates the communication among
 /// VOs/GSPs" (Section III-A) but never models that communication; the
 /// des/ layer lets the repository quantify it (messages, bytes, wall
-/// time under link latency) via core/distributed_tvof.
+/// time under link latency) via sim/protocol.
 ///
 /// Events are closures ordered by (time, insertion sequence); ties in
 /// time execute in scheduling order, so runs are fully deterministic.

@@ -2,8 +2,8 @@
 /// Simulated-annealing improvement for the task assignment IP — the
 /// metaheuristic tier of the solver stack: greedy construct, anneal over
 /// feasibility-preserving relocations/swaps, then local-search polish.
-/// Escapes the local optima where plain descent (ip/local_search) stops;
-/// used standalone and as an alternative incumbent seed for the B&B.
+/// Escapes the local optima where plain descent (ip/local_search) stops.
+/// A standalone solver: the B&B seeds only from warm incumbents and greedy.
 #pragma once
 
 #include <cstdint>

@@ -54,16 +54,16 @@ class Search {
 
   /// Run the DFS; returns true if the space was fully exhausted.
   bool run() {
-    // Root screens (see bnb.hpp): each proves that no leaf exists. A
-    // sound certificate cannot fire beside an incumbent, so only a solve
-    // without one pays for it.
-    if (require_all_ && k_ > n_) return true;
-    if (!has_incumbent_ && capacity_infeasible(kernel_, kEps)) {
-      capacity_certified_ = true;
-      return true;
-    }
+    if (require_all_ && k_ > n_) return true;  // (13) root screen
     dfs(0, 0.0);
     return !truncated_;
+  }
+
+  /// The capacity certificate (see bnb.hpp), for a solve without an
+  /// incumbent that the (13) screen does not already prove.
+  [[nodiscard]] bool certify() const {
+    return !has_incumbent_ && !(require_all_ && k_ > n_) &&
+           capacity_infeasible(kernel_, kEps);
   }
 
   [[nodiscard]] bool has_incumbent() const noexcept { return has_incumbent_; }
@@ -76,10 +76,6 @@ class Search {
     return incumbent_updates_;
   }
   [[nodiscard]] double root_bound() const noexcept { return suffix_min_[0]; }
-  /// True when capacity_infeasible ended the solve before the DFS.
-  [[nodiscard]] bool capacity_certified() const noexcept {
-    return capacity_certified_;
-  }
 
  private:
   void dfs(std::size_t depth, double cost_so_far) {
@@ -147,7 +143,6 @@ class Search {
   double incumbent_cost_ = std::numeric_limits<double>::infinity();
   bool has_incumbent_ = false;
   bool truncated_ = false;
-  bool capacity_certified_ = false;
   std::size_t nodes_ = 0;
   std::size_t incumbent_updates_ = 0;
 };
@@ -209,19 +204,23 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
     sol.stats.incumbent_reused_cost = warm->incumbent_cost;
     sol.stats.repair_moves = warm->repair_moves;
   }
+  // The certificate cannot fire beside a mapping that meets (11)-(13),
+  // so it runs only when neither a warm incumbent nor the regret-order
+  // seed exists, before the time-order fallback is built.
+  Assignment seed;
   if (opts_.seed_with_greedy) {
-    Assignment seed =
-        greedy_construct(kernel, GreedyOptions::Order::RegretDescending);
-    if (seed.empty()) {
-      seed = greedy_construct(kernel, GreedyOptions::Order::TimeDescending);
-    }
-    if (!seed.empty()) {
-      // Greedy construction satisfies (11)-(13) by construction.
-      const double cost = local_search(kernel, seed, opts_.polish);
-      search.seed_incumbent(std::move(seed), cost);
-    }
+    seed = greedy_construct(kernel, GreedyOptions::Order::RegretDescending);
   }
-  const bool exhausted = search.run();
+  const bool certified = seed.empty() && search.certify();
+  if (seed.empty() && !certified && opts_.seed_with_greedy) {
+    seed = greedy_construct(kernel, GreedyOptions::Order::TimeDescending);
+  }
+  if (!seed.empty()) {
+    // Greedy construction satisfies (11)-(13) by construction.
+    const double cost = local_search(kernel, seed, opts_.polish);
+    search.seed_incumbent(std::move(seed), cost);
+  }
+  const bool exhausted = certified || search.run();
 
   sol.stats.nodes = search.nodes();
   sol.lower_bound = search.root_bound();
@@ -246,7 +245,7 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
     span.arg("nodes", static_cast<double>(sol.stats.nodes));
     span.arg("incumbents", static_cast<double>(search.incumbent_updates()));
     span.arg("warm", sol.stats.warm_start_used ? 1.0 : 0.0);
-    span.arg("capacity_certified", search.capacity_certified() ? 1.0 : 0.0);
+    span.arg("capacity_certified", certified ? 1.0 : 0.0);
     span.arg("cost", sol.cost);
     span.arg("status", to_string(sol.stats.status));
     obs::MetricRegistry& m = obs::Recorder::instance().metrics();
@@ -254,9 +253,7 @@ AssignmentSolution BnbAssignmentSolver::solve_impl(
     m.counter("ip.bnb.nodes").add(sol.stats.nodes);
     m.counter("ip.bnb.incumbent_updates").add(search.incumbent_updates());
     if (sol.stats.warm_start_used) m.counter("ip.bnb.warm_solves").add();
-    if (search.capacity_certified()) {
-      m.counter("ip.bnb.capacity_certified").add();
-    }
+    if (certified) m.counter("ip.bnb.capacity_certified").add();
     if (!exhausted) m.counter("ip.bnb.budget_truncated").add();
     m.histogram("ip.bnb.nodes_per_solve")
         .observe(static_cast<double>(sol.stats.nodes));

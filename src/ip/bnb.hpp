@@ -16,10 +16,10 @@
 ///
 /// Root screens, each a proof that the DFS would accept no leaf, so a
 /// solve they fire on ends Infeasible at 0 nodes: more GSPs than tasks
-/// under (13), and, when no incumbent was seeded,
-/// capacity_infeasible (ip/solve_kernel.hpp) at the DFS's deadline
-/// tolerance. The certificate subsumes "some task fits on no GSP". It
-/// cannot fire beside an incumbent, so a seeded solve skips it.
+/// under (13), then capacity_infeasible (ip/solve_kernel.hpp) at the
+/// DFS's deadline tolerance, which subsumes "some task fits on no GSP".
+/// It cannot fire beside a mapping that meets (11)-(13), so it runs only
+/// with no warm incumbent and no regret-order seed, before the fallback.
 #pragma once
 
 #include "ip/assignment.hpp"

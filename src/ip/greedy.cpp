@@ -108,8 +108,9 @@ AssignmentSolution GreedyAssignmentSolver::solve(
 AssignmentSolution GreedyAssignmentSolver::solve(
     const SolveKernel& kernel) const {
   AssignmentSolution sol;
-  Assignment a = greedy_construct(kernel, opts_.order);
-  if (a.empty() && opts_.order == GreedyOptions::Order::RegretDescending) {
+  Assignment a =
+      greedy_construct(kernel, GreedyOptions::Order::RegretDescending);
+  if (a.empty()) {
     // Second chance with the other ordering: different orders fail on
     // different tight instances.
     a = greedy_construct(kernel, GreedyOptions::Order::TimeDescending);

@@ -14,20 +14,19 @@ class SolveKernel;  // ip/solve_kernel.hpp
 
 /// Options for the greedy solver.
 struct GreedyOptions {
-  /// Task processing order during construction.
+  /// Task processing order of greedy_construct.
   enum class Order {
     RegretDescending,  ///< By cost spread between two cheapest GSPs.
     TimeDescending,    ///< Hardest (longest) tasks first (best-fit-decreasing).
   };
-  Order order = Order::RegretDescending;
   /// Polish the constructed assignment with local search.
   bool polish = true;
   LocalSearchOptions local_search;
 };
 
-/// Greedy + local search. Status is Feasible when a constraint-satisfying
-/// assignment is found, Unknown otherwise (a heuristic can never prove
-/// infeasibility). Never reports Optimal.
+/// Greedy (regret order, time order if that fails) + local search. Status
+/// is Feasible when a constraint-satisfying assignment is found, Unknown
+/// otherwise (a heuristic can never prove infeasibility). Never Optimal.
 class GreedyAssignmentSolver final : public AssignmentSolver {
  public:
   explicit GreedyAssignmentSolver(GreedyOptions opts = {}) : opts_(opts) {}

@@ -129,7 +129,7 @@ struct ProtocolAnalysis {
 };
 
 /// Human name of a protocol network node: "TP" for node 0, "G<k>" for
-/// GSP k at node k+1 (core/distributed_tvof's layout).
+/// GSP k at node k+1 (sim/protocol's layout).
 [[nodiscard]] std::string node_name(std::size_t node);
 
 /// Reconstruct the message DAG and per-round critical paths from a

@@ -8,7 +8,7 @@
 ///  - the process-wide registry inside obs::Recorder aggregates across a
 ///    whole run (exported as JSON via SVO_METRICS / TraceSession);
 ///  - *local* registries scope accounting to one operation — e.g.
-///    core::run_distributed builds its ProtocolMetrics from a per-run
+///    sim::run_distributed builds its ProtocolMetrics from a per-run
 ///    registry instead of hand-maintained struct fields.
 ///
 /// Counter::add and Gauge::set are lock-free; Histogram::observe and all

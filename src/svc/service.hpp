@@ -366,7 +366,7 @@ class FormationService {
   }
   /// The service-local metric registry (svc.* counters/histograms,
   /// svc.shard<i>.* per-shard counters) — same local-registry pattern
-  /// as core::ProtocolMetrics.
+  /// as sim::ProtocolMetrics.
   [[nodiscard]] const obs::MetricRegistry& metrics() const noexcept {
     return registry_;
   }

@@ -65,16 +65,16 @@
 #include "game/structure.hpp"       // IWYU pragma: export
 #include "game/value_function.hpp"  // IWYU pragma: export
 
-#include "core/centrality_vof.hpp"    // IWYU pragma: export
-#include "core/distributed_tvof.hpp"  // IWYU pragma: export
-#include "core/mechanism.hpp"         // IWYU pragma: export
-#include "core/merge_split.hpp"       // IWYU pragma: export
-#include "core/rvof.hpp"              // IWYU pragma: export
-#include "core/tvof.hpp"              // IWYU pragma: export
+#include "core/centrality_vof.hpp"  // IWYU pragma: export
+#include "core/mechanism.hpp"       // IWYU pragma: export
+#include "core/merge_split.hpp"     // IWYU pragma: export
+#include "core/rvof.hpp"            // IWYU pragma: export
+#include "core/tvof.hpp"            // IWYU pragma: export
 
 #include "sim/config.hpp"         // IWYU pragma: export
 #include "sim/execution.hpp"      // IWYU pragma: export
 #include "sim/learning.hpp"       // IWYU pragma: export
 #include "sim/multi_program.hpp"  // IWYU pragma: export
+#include "sim/protocol.hpp"       // IWYU pragma: export
 #include "sim/runner.hpp"         // IWYU pragma: export
 #include "sim/scenario.hpp"       // IWYU pragma: export

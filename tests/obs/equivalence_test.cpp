@@ -14,12 +14,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/distributed_tvof.hpp"
 #include "core/mechanism.hpp"
 #include "core/rvof.hpp"
 #include "core/tvof.hpp"
 #include "ip/bnb.hpp"
 #include "obs/trace.hpp"
+#include "sim/protocol.hpp"
 #include "tests/ip/test_instances.hpp"
 #include "trust/reputation.hpp"
 #include "trust/trust_graph.hpp"
@@ -164,14 +164,14 @@ TEST_F(TracingEquivalenceTest, DistributedRunIsBitIdentical) {
 
   util::Xoshiro256 rng_off(17);
   obs::Recorder::instance().disable();
-  const DistributedRunResult off =
-      run_distributed(tvof, f.instance, f.trust, rng_off);
+  const sim::DistributedRunResult off =
+      sim::run_distributed(tvof, f.instance, f.trust, rng_off);
   const std::uint64_t probe_off = rng_off();
 
   util::Xoshiro256 rng_on(17);
   obs::Recorder::instance().enable();
-  const DistributedRunResult on =
-      run_distributed(tvof, f.instance, f.trust, rng_on);
+  const sim::DistributedRunResult on =
+      sim::run_distributed(tvof, f.instance, f.trust, rng_on);
   const std::uint64_t probe_on = rng_on();
   obs::Recorder::instance().disable();
 
@@ -182,7 +182,7 @@ TEST_F(TracingEquivalenceTest, DistributedRunIsBitIdentical) {
   EXPECT_EQ(off.protocol.bytes, on.protocol.bytes);
   // completion_seconds is intentionally NOT compared exactly: the
   // protocol advances the simulated clock by the *measured* compute
-  // time of the mechanism run (distributed_tvof.hpp), so it is
+  // time of the mechanism run (sim/protocol.hpp), so it is
   // wall-clock-derived like elapsed_seconds. The report phase ends
   // before the mechanism runs, so it stays purely simulated and exact.
   EXPECT_EQ(off.protocol.report_phase_seconds,
@@ -209,7 +209,7 @@ TEST_F(TracingEquivalenceTest, FaultedDistributedRunIsBitIdentical) {
   const ip::BnbAssignmentSolver solver;
   const TvofMechanism tvof(solver);
 
-  ProtocolOptions proto;
+  sim::ProtocolOptions proto;
   proto.latency.base_seconds = 0.02;
   proto.latency.jitter = 0.3;
   proto.report_timeout_seconds = 0.2;
@@ -218,19 +218,19 @@ TEST_F(TracingEquivalenceTest, FaultedDistributedRunIsBitIdentical) {
   proto.faults.straggler_probability = 0.1;
   proto.faults.straggler_multiplier = 4.0;
   proto.faults.seed = 0xFA11 ^ 0xFA117;
-  proto.faults.crashes = gsp_crash_schedule(
+  proto.faults.crashes = sim::gsp_crash_schedule(
       des::random_crash_windows(6, 0.4, 0.2, 0.0, 0xFA11 ^ 0xC4A5));
 
   util::Xoshiro256 rng_off(23);
   obs::Recorder::instance().disable();
-  const DistributedRunResult off =
-      run_distributed(tvof, f.instance, f.trust, rng_off, proto);
+  const sim::DistributedRunResult off =
+      sim::run_distributed(tvof, f.instance, f.trust, rng_off, proto);
   const std::uint64_t probe_off = rng_off();
 
   util::Xoshiro256 rng_on(23);
   obs::Recorder::instance().enable();
-  const DistributedRunResult on =
-      run_distributed(tvof, f.instance, f.trust, rng_on, proto);
+  const sim::DistributedRunResult on =
+      sim::run_distributed(tvof, f.instance, f.trust, rng_on, proto);
   const std::uint64_t probe_on = rng_on();
   obs::Recorder::instance().disable();
 
@@ -269,7 +269,7 @@ TEST_F(TracingEquivalenceTest, TracedProtocolMessagesAreCausallyLinked) {
   const TvofMechanism tvof(solver);
   util::Xoshiro256 rng(11);
   obs::Recorder::instance().enable();
-  (void)run_distributed(tvof, f.instance, f.trust, rng);
+  (void)sim::run_distributed(tvof, f.instance, f.trust, rng);
   obs::Recorder::instance().disable();
 
   const std::vector<obs::TraceEvent> events =
@@ -305,7 +305,7 @@ TEST_F(TracingEquivalenceTest, TracedProtocolEmitsPhaseEvents) {
   const TvofMechanism tvof(solver);
   util::Xoshiro256 rng(5);
   obs::Recorder::instance().enable();
-  (void)run_distributed(tvof, f.instance, f.trust, rng);
+  (void)sim::run_distributed(tvof, f.instance, f.trust, rng);
   obs::Recorder::instance().disable();
 
   bool saw_protocol_run = false, saw_collecting = false, saw_deciding = false,

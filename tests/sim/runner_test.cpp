@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/distributed_tvof.hpp"
 #include "core/rvof.hpp"
 #include "core/tvof.hpp"
 #include "ip/bnb.hpp"
+#include "sim/protocol.hpp"
 
 namespace svo::sim {
 namespace {
@@ -121,9 +121,9 @@ TEST(ExperimentRunnerTest, RunPairDistributedMatchesLocalDecisions) {
   const core::RvofMechanism rvof(solver, runner.config().mechanism);
   util::Xoshiro256 tvof_rng(s.tvof_seed);
   util::Xoshiro256 rvof_rng(s.rvof_seed);
-  const core::DistributedRunResult dist_tvof = core::run_distributed(
+  const DistributedRunResult dist_tvof = run_distributed(
       tvof, s.instance.assignment, s.trust, tvof_rng);
-  const core::DistributedRunResult dist_rvof = core::run_distributed(
+  const DistributedRunResult dist_rvof = run_distributed(
       rvof, s.instance.assignment, s.trust, rvof_rng);
   EXPECT_EQ(dist_tvof.mechanism.selected, local.tvof.selected);
   EXPECT_EQ(dist_tvof.mechanism.mapping, local.tvof.mapping);
